@@ -14,9 +14,10 @@
 //   "structural"  deterministic, machine-independent facts: per benchmark
 //                 and encoding the controller count, model register count,
 //                 proven reset depth, power-on instance count, ternary gate
-//                 evaluations, every rule's verdict, and the don't-care
-//                 exploitation counts.  CI diffs them against
-//                 bench/baselines/BENCH_xcheck.json via
+//                 evaluations, every rule's verdict keyed by rule and
+//                 artifact ("DCS001 fsm D_FSM_mult1": one row per checked
+//                 controller), and the don't-care exploitation counts.  CI
+//                 diffs them against bench/baselines/BENCH_xcheck.json via
 //                 tools/compare_bench.py and fails on drift.
 //   "timingsMs"   wall-clock per benchmark and checker plus the totals.
 //                 Machine dependent; reported informationally.
@@ -158,7 +159,7 @@ int main(int argc, char** argv) {
   std::cout << "X-safety: " << (ok ? "OK" : "FAILED") << "\n";
 
   std::ostringstream js;
-  js << "{\"schema\":\"tauhls-bench-xcheck\",\"version\":1,"
+  js << "{\"schema\":\"tauhls-bench-xcheck\",\"version\":2,"
      << "\"structural\":{"
      << "\"benchmarks\":" << suite.size() << ",\"runs\":" << runs.size()
      << ",\"allProved\":" << (ok ? 1 : 0) << ",\"perRun\":{";
@@ -178,8 +179,8 @@ int main(int argc, char** argv) {
       for (const verify::XpropPropertyStat& p : *props) {
         if (!first) js << ",";
         first = false;
-        js << "\"" << p.rule << "\":{\"verdict\":\"" << p.verdict
-           << "\",\"depth\":" << p.depth << "}";
+        js << "\"" << p.rule << " " << p.artifact << "\":{\"verdict\":\""
+           << p.verdict << "\",\"depth\":" << p.depth << "}";
       }
     }
     js << "}}";

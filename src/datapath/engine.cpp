@@ -1,39 +1,11 @@
 #include "datapath/engine.hpp"
 
-#include <cctype>
-#include <set>
-#include <unordered_set>
-
 #include "common/error.hpp"
-#include "fsm/signal.hpp"
+#include "sim/interp.hpp"
 
 namespace tauhls::datapath {
 
 using dfg::NodeId;
-
-namespace {
-
-/// Parse "S<i>" / "S<i>p" / "R<i>"; kind 'S' = first execution cycle.
-struct ParsedState {
-  char kind = '?';
-  int index = -1;
-};
-
-ParsedState parseState(const std::string& name) {
-  ParsedState p;
-  if (name.size() < 2) return p;
-  const bool primed = name.back() == 'p';
-  const std::string digits = name.substr(1, name.size() - 1 - (primed ? 1 : 0));
-  for (char c : digits) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return p;
-  }
-  p.index = std::stoi(digits);
-  if (name[0] == 'S') p.kind = primed ? 'P' : 'S';
-  if (name[0] == 'R' && !primed) p.kind = 'R';
-  return p;
-}
-
-}  // namespace
 
 ExecutionResult execute(const fsm::DistributedControlUnit& dcu,
                         const sched::ScheduledDfg& s,
@@ -41,8 +13,6 @@ ExecutionResult execute(const fsm::DistributedControlUnit& dcu,
                         const BitLevelLibrary& lib, int maxCycles) {
   TAUHLS_CHECK(inputValues.size() == s.graph.numNodes(),
                "inputValues must be indexed by NodeId");
-  const std::size_t n = dcu.controllers.size();
-
   ExecutionResult result;
   result.values.assign(s.graph.numNodes(), 0);
   result.realizedClasses.shortClass.assign(s.graph.numNodes(), true);
@@ -58,91 +28,46 @@ ExecutionResult execute(const fsm::DistributedControlUnit& dcu,
   // Fetch the operands of `op`; enforces the datapath safety property.
   auto fetch = [&](NodeId op) {
     const dfg::Node& node = s.graph.node(op);
-    std::pair<Value, Value> operands{0, 0};
-    TAUHLS_CHECK(valueReady[node.operands[0]],
-                 "operand fetched before its producer completed: " +
-                     s.graph.node(node.operands[0]).name + " -> " + node.name);
-    operands.first = result.values[node.operands[0]];
-    if (node.operands.size() > 1) {
-      TAUHLS_CHECK(valueReady[node.operands[1]],
+    Value operands[2] = {0, 0};
+    for (std::size_t i = 0; i < node.operands.size() && i < 2; ++i) {
+      TAUHLS_CHECK(valueReady[node.operands[i]],
                    "operand fetched before its producer completed: " +
-                       s.graph.node(node.operands[1]).name + " -> " + node.name);
-      operands.second = result.values[node.operands[1]];
+                       s.graph.node(node.operands[i]).name + " -> " +
+                       node.name);
+      operands[i] = result.values[node.operands[i]];
     }
-    return operands;
+    return std::pair<Value, Value>{operands[0], operands[1]};
   };
 
-  std::vector<int> state(n);
-  std::vector<std::set<std::string>> latches(n);
-  for (std::size_t c = 0; c < n; ++c) state[c] = dcu.controllers[c].fsm.initial();
-
-  std::set<std::string> pendingRe;
-  for (NodeId v : s.graph.opIds()) {
-    pendingRe.insert(fsm::registerEnableSignal(s.graph.node(v).name));
-  }
-
-  for (int cycle = 0; cycle < maxCycles && !pendingRe.empty(); ++cycle) {
-    // Datapath: each telescopic unit in a first execution cycle consults its
-    // completion generator on the live operand values.
-    std::unordered_set<std::string> external;
-    for (std::size_t c = 0; c < n; ++c) {
-      const fsm::UnitController& ctl = dcu.controllers[c];
-      if (!ctl.telescopic) continue;
-      const ParsedState p = parseState(ctl.fsm.stateName(state[c]));
-      if (p.kind != 'S') continue;
-      const NodeId op = ctl.ops[p.index];
-      if (pendingRe.contains(fsm::registerEnableSignal(s.graph.node(op).name)) ==
-          false) {
-        continue;  // wrapped into iteration 2; no fresh operands to certify
-      }
-      const auto [a, b] = fetch(op);
-      const bool sd = lib.multiplierShortClass(a, b);
-      result.realizedClasses.shortClass[op] = sd;
-      if (sd) {
-        external.insert(fsm::unitCompletionSignal(s.binding.unit(ctl.unitId)));
-      }
-    }
-    // Completion-pulse fixpoint (as in sim::runDistributed).
-    std::unordered_set<std::string> emitted;
-    for (int iter = 0;; ++iter) {
-      TAUHLS_ASSERT(iter < 4, "completion-pulse fixpoint did not converge");
-      std::unordered_set<std::string> next;
-      for (std::size_t c = 0; c < n; ++c) {
-        std::unordered_set<std::string> asserted = external;
-        asserted.insert(emitted.begin(), emitted.end());
-        asserted.insert(latches[c].begin(), latches[c].end());
-        const auto r = dcu.controllers[c].fsm.step(state[c], asserted);
-        for (const std::string& o : r.outputs) {
-          if (o.starts_with("CCO_")) next.insert(o);
-        }
-      }
-      if (next == emitted) break;
-      emitted = std::move(next);
-    }
-    // Commit: advance controllers; on RE_i latch the computed value.
-    for (std::size_t c = 0; c < n; ++c) {
-      std::unordered_set<std::string> asserted = external;
-      asserted.insert(emitted.begin(), emitted.end());
-      asserted.insert(latches[c].begin(), latches[c].end());
-      const auto r = dcu.controllers[c].fsm.step(state[c], asserted);
-      state[c] = r.nextState;
-      for (const std::string& o : r.outputs) {
+  // Datapath: each telescopic unit in a first execution cycle consults its
+  // completion generator on the live operand values; an op whose result is
+  // already latched has wrapped into iteration 2 and has no fresh operands.
+  auto certify = [&](const fsm::UnitController& ctl,
+                     const fsm::StateName& state) {
+    if (!state.isExecute(0)) return false;
+    const NodeId op = ctl.ops[state.index];
+    if (valueReady[op]) return false;
+    const auto [a, b] = fetch(op);
+    const bool sd = lib.multiplierShortClass(a, b);
+    result.realizedClasses.shortClass[op] = sd;
+    return sd;
+  };
+  // On RE_i latch the computed value (once; later REs are iteration 2).
+  auto latch = [&](const fsm::NetworkStep& step) {
+    for (const std::vector<std::string>& fired : step.outputs) {
+      for (const std::string& o : fired) {
         if (!o.starts_with("RE_")) continue;
-        if (!pendingRe.erase(o)) continue;  // iteration-2 wrap: ignore
         const NodeId op = s.graph.findByName(o.substr(3));
         TAUHLS_ASSERT(op != dfg::kNoNode, "RE for unknown op");
+        if (valueReady[op]) continue;
         const auto [a, b] = fetch(op);
         result.values[op] = lib.compute(s.graph.node(op).kind, a, b);
         valueReady[op] = true;
       }
-      for (const std::string& sig : dcu.controllers[c].latchedInputs) {
-        if (emitted.contains(sig)) latches[c].insert(sig);
-      }
     }
-    result.latencyCycles = cycle + 1;
-  }
-  TAUHLS_CHECK(pendingRe.empty(),
-               "datapath execution did not finish within the cycle bound");
+  };
+  result.latencyCycles =
+      sim::runDistributed(dcu, s, certify, maxCycles, latch).latencyCycles;
   return result;
 }
 

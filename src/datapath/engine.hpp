@@ -1,8 +1,8 @@
 // Controller-driven, value-accurate datapath execution.
 //
-// Runs the generated distributed control unit cycle by cycle (same latch and
-// pulse semantics as sim::runDistributed) while a register-transfer datapath
-// executes underneath: while a controller sits in S_i, its unit computes
+// Runs the generated distributed control unit cycle by cycle (the network
+// step of fsm/network.hpp) while a register-transfer datapath executes
+// underneath: while a controller sits in S_i, its unit computes
 // O_i's value from the producer registers; a telescopic unit raises C_<unit>
 // exactly when the completion generator certifies the current operands; on
 // the completing transition (RE_i) the result is latched into O_i's register.

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "common/strings.hpp"
 #include "fsm/signal.hpp"
 
 namespace tauhls::fsm {
@@ -30,10 +29,8 @@ Fsm buildCentSync(const sched::ScheduledDfg& s) {
   const int numSteps = static_cast<int>(steps.size());
   std::vector<int> stateS(numSteps), stateSp(numSteps, -1);
   for (int k = 0; k < numSteps; ++k) {
-    stateS[k] = fsm.addState(numbered("S", k));
-    if (steps[k].split) {
-      stateSp[k] = fsm.addState(numbered("S", k) + "p");
-    }
+    stateS[k] = fsm.addState(executionStateName(k, 0));
+    if (steps[k].split) stateSp[k] = fsm.addState(executionStateName(k, 1));
   }
   fsm.setInitial(stateS[0]);
 

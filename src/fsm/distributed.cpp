@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "common/strings.hpp"
 #include "fsm/signal.hpp"
 
 namespace tauhls::fsm {
@@ -49,22 +48,23 @@ std::vector<std::string> externalPredSignals(const sched::ScheduledDfg& s,
   return out;
 }
 
-UnitController buildController(const sched::ScheduledDfg& s, int unitId) {
+UnitController buildController(const sched::ScheduledDfg& s, int unitId,
+                               int levels) {
   const sched::UnitInstance& unit = s.binding.unit(unitId);
   const std::vector<NodeId>& seq = s.binding.sequenceOf(unitId);
   TAUHLS_CHECK(!seq.empty(), "unit has no bound operations: " + unit.name);
-  const bool telescopic = s.unitIsTelescopic(unitId);
+  TAUHLS_CHECK(levels >= 1, "unit needs at least one delay level: " + unit.name);
   const int n = static_cast<int>(seq.size());
 
   UnitController ctl;
   ctl.unitId = unitId;
-  ctl.telescopic = telescopic;
+  ctl.telescopic = levels > 1;
   ctl.ops = seq;
   ctl.fsm = Fsm("D_FSM_" + unit.name);
   Fsm& fsm = ctl.fsm;
 
   const std::string cT = unitCompletionSignal(unit);
-  if (telescopic) fsm.addInput(cT);
+  if (ctl.telescopic) fsm.addInput(cT);
 
   // Per-op predecessor signals and declarations.
   std::vector<std::vector<std::string>> preds(n);
@@ -84,14 +84,16 @@ UnitController buildController(const sched::ScheduledDfg& s, int unitId) {
       std::unique(ctl.latchedInputs.begin(), ctl.latchedInputs.end()),
       ctl.latchedInputs.end());
 
-  // States (paper step 2): S_i, S_i' for telescopic, R_i when preds exist.
-  std::vector<int> stateS(n), stateSp(n, -1), stateR(n, -1);
+  // States (paper step 2): level chain S_i^0..S_i^{L-1}; R_i when preds exist.
+  std::vector<std::vector<int>> stateS(n);
+  std::vector<int> stateR(n, -1);
   for (int i = 0; i < n; ++i) {
-    stateS[i] = fsm.addState(numbered("S", i));
-    if (telescopic) stateSp[i] = fsm.addState(numbered("S", i) + "p");
-    if (!preds[i].empty()) stateR[i] = fsm.addState(numbered("R", i));
+    for (int k = 0; k < levels; ++k) {
+      stateS[i].push_back(fsm.addState(executionStateName(i, k)));
+    }
+    if (!preds[i].empty()) stateR[i] = fsm.addState(readyStateName(i));
   }
-  fsm.setInitial(stateR[0] != -1 ? stateR[0] : stateS[0]);
+  fsm.setInitial(stateR[0] != -1 ? stateR[0] : stateS[0][0]);
 
   // Transitions (paper steps 3 & 4).  S_{n} wraps to S_0 / R_0.
   for (int i = 0; i < n; ++i) {
@@ -100,29 +102,27 @@ UnitController buildController(const sched::ScheduledDfg& s, int unitId) {
     const std::vector<std::string> completing = {operandFetchSignal(opName),
                                                  registerEnableSignal(opName),
                                                  opCompletionSignal(opName)};
-    // Sources that complete O_i: S_i guarded by C_T (telescopic) or
-    // unconditionally (fixed); S_i' unconditionally.
-    std::vector<std::pair<int, Guard>> completingSources;
-    if (telescopic) {
-      fsm.addTransition(stateS[i], stateSp[i], Guard::literal(cT, false),
-                        {operandFetchSignal(opName)});
-      completingSources.emplace_back(stateS[i], Guard::literal(cT, true));
-      completingSources.emplace_back(stateSp[i], Guard::always());
-    } else {
-      completingSources.emplace_back(stateS[i], Guard::always());
-    }
-    for (const auto& [src, base] : completingSources) {
+    // Every level but the last completes O_i on C_T and otherwise advances;
+    // the last level completes unconditionally.
+    for (int k = 0; k < levels; ++k) {
+      Guard base = Guard::always();
+      if (k < levels - 1) {
+        fsm.addTransition(stateS[i][k], stateS[i][k + 1],
+                          Guard::literal(cT, false),
+                          {operandFetchSignal(opName)});
+        base = Guard::literal(cT, true);
+      }
       if (preds[j].empty()) {
-        fsm.addTransition(src, stateS[j], base, completing);
+        fsm.addTransition(stateS[i][k], stateS[j][0], base, completing);
       } else {
-        fsm.addTransition(src, stateS[j], base.conjoin(Guard::allOf(preds[j])),
-                          completing);
-        fsm.addTransition(src, stateR[j],
+        fsm.addTransition(stateS[i][k], stateS[j][0],
+                          base.conjoin(Guard::allOf(preds[j])), completing);
+        fsm.addTransition(stateS[i][k], stateR[j],
                           base.conjoin(Guard::notAllOf(preds[j])), completing);
       }
     }
     if (stateR[j] != -1) {
-      fsm.addTransition(stateR[j], stateS[j], Guard::allOf(preds[j]), {});
+      fsm.addTransition(stateR[j], stateS[j][0], Guard::allOf(preds[j]), {});
       fsm.addTransition(stateR[j], stateR[j], Guard::notAllOf(preds[j]), {});
     }
   }
@@ -132,10 +132,19 @@ UnitController buildController(const sched::ScheduledDfg& s, int unitId) {
 
 }  // namespace
 
-DistributedControlUnit buildDistributed(const sched::ScheduledDfg& s) {
+int levelsOfUnit(const sched::ScheduledDfg& s, const LevelOverrides& overrides,
+                 int unitId) {
+  const auto it = overrides.find(s.binding.unit(unitId).cls);
+  if (it != overrides.end()) return it->second;
+  return s.unitIsTelescopic(unitId) ? 2 : 1;
+}
+
+DistributedControlUnit buildDistributed(const sched::ScheduledDfg& s,
+                                        const LevelOverrides& overrides) {
   DistributedControlUnit dcu;
   for (int u = 0; u < static_cast<int>(s.binding.numUnits()); ++u) {
-    dcu.controllers.push_back(buildController(s, u));
+    dcu.controllers.push_back(
+        buildController(s, u, levelsOfUnit(s, overrides, u)));
   }
   // Global wiring.
   for (std::size_t c = 0; c < dcu.controllers.size(); ++c) {

@@ -1,19 +1,24 @@
 // Algorithm 1 (paper §4.2): derive one synchronous controller per arithmetic
 // unit and aggregate them into a distributed global control unit.
 //
-// Controller shape for a telescopic unit with bound ops O_0..O_n:
-//   states  S_i (first execution cycle), S_i' (LD second cycle),
-//           R_i (ready-wait, only when O_i has predecessors on other units)
+// Controller shape for a unit with L delay levels and bound ops O_0..O_n:
+//   states  S_i^0 .. S_i^{L-1} (the op's execution chain, named "S<i>",
+//           "S<i>p", "S<i>pp", ...), R_i (ready-wait, only when O_i has
+//           predecessors on other units)
 //   guards  over the unit's completion signal C_T and the predecessor
 //           completion signals C_PO (= the producers' CCO_* wires)
 //   outputs OF_i while executing; RE_i and CCO_i on the completing cycle.
-// Non-telescopic units drop C_T and every S_i' (paper §4.2).
+// L is 1 for fixed units (no C_T, paper §4.2) and 2 for telescopic units
+// (S_i, S_i'); a LevelOverrides entry sets it to any L >= 1 -- the paper's
+// §6 multi-level VCAUs, "in the same manner".  In S_i^k with k < L-1 a low
+// C_T advances to S_i^{k+1}; a high C_T (or any input in the last level)
+// completes the op.
 //
 // Completion signals are single-cycle pulses; consumers latch them (sticky
 // completion latches, DESIGN.md §5.1).  The latches live *outside* the FSMs:
-// the FSM guard reads the OR of the latch and the live pulse.  The product
-// construction (product.hpp) and the FSM interpreter (sim/) both implement
-// this latch semantics; the RTL back-end emits one latch per consumed wire.
+// the FSM guard reads the OR of the latch and the live pulse.  That network
+// semantics is implemented once, in fsm/network.hpp; the RTL back-end emits
+// one latch per consumed wire.
 #pragma once
 
 #include <map>
@@ -55,8 +60,17 @@ struct DistributedControlUnit {
   int completionLatchCount() const;
 };
 
+/// Delay-level count per resource class, replacing the default (1 fixed,
+/// 2 telescopic) for every unit of that class.
+using LevelOverrides = std::map<dfg::ResourceClass, int>;
+
+/// Delay levels of unit `unitId` under `overrides`.
+int levelsOfUnit(const sched::ScheduledDfg& s, const LevelOverrides& overrides,
+                 int unitId);
+
 /// Run Algorithm 1 on every unit of the scheduled DFG.  All controllers are
 /// validated (deterministic + complete) before returning.
-DistributedControlUnit buildDistributed(const sched::ScheduledDfg& s);
+DistributedControlUnit buildDistributed(const sched::ScheduledDfg& s,
+                                        const LevelOverrides& overrides = {});
 
 }  // namespace tauhls::fsm

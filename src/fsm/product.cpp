@@ -3,33 +3,30 @@
 #include <algorithm>
 #include <map>
 #include <queue>
-#include <set>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "fsm/network.hpp"
 
 namespace tauhls::fsm {
 
 namespace {
 
-/// Composite configuration: one state per controller plus the sticky
-/// completion latches, keyed per (controller, signal).
-struct Config {
-  std::vector<int> states;
-  std::set<std::pair<int, std::string>> latches;
-
-  auto operator<=>(const Config&) const = default;
-
-  std::string name(const DistributedControlUnit& dcu) const {
-    std::ostringstream os;
-    for (std::size_t c = 0; c < states.size(); ++c) {
-      if (c != 0) os << "_";
-      os << dcu.controllers[c].fsm.stateName(states[c]);
-    }
-    for (const auto& [c, sig] : latches) os << "+" << c << ":" << sig;
-    return os.str();
+/// "<state>_<state>..." then "+<controller>:<signal>" per held latch.
+std::string configName(const DistributedControlUnit& dcu,
+                       const NetworkConfig& config) {
+  std::ostringstream os;
+  for (std::size_t c = 0; c < config.states.size(); ++c) {
+    if (c != 0) os << "_";
+    os << dcu.controllers[c].fsm.stateName(config.states[c]);
   }
-};
+  for (std::size_t c = 0; c < config.latches.size(); ++c) {
+    for (const std::string& sig : config.latches[c]) {
+      os << "+" << c << ":" << sig;
+    }
+  }
+  return os.str();
+}
 
 }  // namespace
 
@@ -40,40 +37,33 @@ Fsm buildProduct(const DistributedControlUnit& dcu,
   Fsm product("CENT_FSM");
   for (const std::string& in : dcu.externalInputs) product.addInput(in);
 
-  std::set<std::string> internal;
-  for (const auto& [sig, producer] : dcu.producerOf) internal.insert(sig);
   for (const UnitController& c : dcu.controllers) {
     for (const std::string& out : c.fsm.outputs()) {
-      if (options.hideInternalSignals && internal.contains(out)) continue;
+      if (options.hideInternalSignals && dcu.producerOf.contains(out)) continue;
       product.addOutput(out);
     }
   }
 
-  Config init;
-  for (const UnitController& c : dcu.controllers) {
-    init.states.push_back(c.fsm.initial());
-  }
-
-  std::map<Config, int> stateIds;
-  std::queue<Config> frontier;
-  auto intern = [&](const Config& cfg) {
+  std::map<NetworkConfig, int> stateIds;
+  std::queue<NetworkConfig> frontier;
+  auto intern = [&](const NetworkConfig& cfg) {
     auto it = stateIds.find(cfg);
     if (it != stateIds.end()) return it->second;
     TAUHLS_CHECK(stateIds.size() < options.maxStates,
                  "product state bound exceeded (" +
                      std::to_string(options.maxStates) + ")");
-    const int id = product.addState(cfg.name(dcu));
+    const int id = product.addState(configName(dcu, cfg));
     if (info != nullptr) info->controllerStates.push_back(cfg.states);
     stateIds.emplace(cfg, id);
     frontier.push(cfg);
     return id;
   };
-  intern(init);
+  intern(initialConfig(dcu));
   product.setInitial(0);
 
   const std::size_t numExt = dcu.externalInputs.size();
   while (!frontier.empty()) {
-    const Config cfg = frontier.front();
+    const NetworkConfig cfg = frontier.front();
     frontier.pop();
     const int fromId = stateIds.at(cfg);
 
@@ -85,65 +75,17 @@ Fsm buildProduct(const DistributedControlUnit& dcu,
       for (std::size_t i = 0; i < numExt; ++i) {
         if ((a >> i) & 1) external.insert(dcu.externalInputs[i]);
       }
-      // Phase 1: fixpoint of emitted completion pulses.  In the generated
-      // controllers output emission does not depend on CCO inputs, so this
-      // converges in <= 2 iterations; we iterate defensively.
-      std::unordered_set<std::string> emitted;
-      for (int iter = 0;; ++iter) {
-        TAUHLS_ASSERT(iter < 4, "completion-pulse fixpoint did not converge");
-        std::unordered_set<std::string> nextEmitted;
-        for (std::size_t c = 0; c < dcu.controllers.size(); ++c) {
-          std::unordered_set<std::string> asserted = external;
-          for (const std::string& e : emitted) asserted.insert(e);
-          for (const auto& [lc, sig] : cfg.latches) {
-            if (lc == static_cast<int>(c)) asserted.insert(sig);
-          }
-          const Fsm::StepResult r =
-              dcu.controllers[c].fsm.step(cfg.states[c], asserted);
-          for (const std::string& out : r.outputs) {
-            if (internal.contains(out)) nextEmitted.insert(out);
-          }
-        }
-        if (nextEmitted == emitted) break;
-        emitted = std::move(nextEmitted);
-      }
-      // Phase 2: final step of every controller; collect next config/outputs.
-      Config next;
-      next.latches = cfg.latches;
+      NetworkStep step = stepNetwork(dcu, cfg, external);
       std::vector<std::string> outputs;
-      for (std::size_t c = 0; c < dcu.controllers.size(); ++c) {
-        std::unordered_set<std::string> asserted = external;
-        for (const std::string& e : emitted) asserted.insert(e);
-        for (const auto& [lc, sig] : cfg.latches) {
-          if (lc == static_cast<int>(c)) asserted.insert(sig);
-        }
-        const Transition* fired = nullptr;
-        for (const Transition* t :
-             dcu.controllers[c].fsm.transitionsFrom(cfg.states[c])) {
-          if (t->guard.evaluate(asserted)) {
-            fired = t;
-            break;
-          }
-        }
-        TAUHLS_ASSERT(fired != nullptr, "controller stuck in product step");
-        next.states.push_back(fired->to);
-        for (const std::string& out : fired->outputs) {
-          if (!(options.hideInternalSignals && internal.contains(out))) {
+      for (const std::vector<std::string>& fired : step.outputs) {
+        for (const std::string& out : fired) {
+          if (!(options.hideInternalSignals && dcu.producerOf.contains(out))) {
             outputs.push_back(out);
-          }
-        }
-        // Phase 3: completion latches are level-sensitive -- set by the pulse
-        // and held until the iteration-restart strobe (DESIGN.md §5.1), so a
-        // later op of the same unit depending on the same producer still sees
-        // the completion.
-        for (const std::string& sig : dcu.controllers[c].latchedInputs) {
-          if (emitted.contains(sig)) {
-            next.latches.insert({static_cast<int>(c), sig});
           }
         }
       }
       std::sort(outputs.begin(), outputs.end());
-      const int toId = intern(next);
+      const int toId = intern(step.next);
 
       Guard minterm = Guard::always();
       for (std::size_t i = 0; i < numExt; ++i) {

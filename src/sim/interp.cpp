@@ -25,40 +25,11 @@ int SimTrace::firstCycle(const std::string& signal) const {
   return -1;
 }
 
-namespace {
-
-/// Parse "S<i>", "S<i>p", "R<i>" into (kind, index); kind 'S' means the op's
-/// first execution cycle, 'P' the LD second cycle, 'R' a ready-wait state.
-struct ParsedState {
-  char kind = '?';
-  int index = -1;
-};
-
-ParsedState parseState(const std::string& name) {
-  ParsedState p;
-  if (name.size() < 2) return p;
-  const bool primed = name.back() == 'p';
-  const std::string digits = name.substr(1, name.size() - 1 - (primed ? 1 : 0));
-  for (char c : digits) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return p;
-  }
-  p.index = std::stoi(digits);
-  if (name[0] == 'S') p.kind = primed ? 'P' : 'S';
-  if (name[0] == 'R' && !primed) p.kind = 'R';
-  return p;
-}
-
-}  // namespace
-
-SimTrace runDistributed(const fsm::DistributedControlUnit& dcu,
-                        const sched::ScheduledDfg& s,
-                        const OperandClasses& classes, int maxCycles) {
-  TAUHLS_CHECK(classes.shortClass.size() == s.graph.numNodes(),
-               "operand-class vector size mismatch");
-  const std::size_t n = dcu.controllers.size();
-  std::vector<int> state(n);
-  std::vector<std::set<std::string>> latches(n);
-  for (std::size_t c = 0; c < n; ++c) state[c] = dcu.controllers[c].fsm.initial();
+SimTrace runDistributed(
+    const fsm::DistributedControlUnit& dcu, const sched::ScheduledDfg& s,
+    const CompletionModel& raisesCompletion, int maxCycles,
+    const std::function<void(const fsm::NetworkStep&)>& onStep) {
+  fsm::NetworkConfig config = fsm::initialConfig(dcu);
 
   std::set<std::string> pendingRe;
   for (NodeId v : s.graph.opIds()) {
@@ -67,60 +38,25 @@ SimTrace runDistributed(const fsm::DistributedControlUnit& dcu,
 
   SimTrace trace;
   for (int cycle = 0; cycle < maxCycles && !pendingRe.empty(); ++cycle) {
-    // Datapath model: C_<unit> is raised during the first execution cycle of
-    // an SD-class op on that telescopic unit.
     std::unordered_set<std::string> external;
-    for (std::size_t c = 0; c < n; ++c) {
+    for (std::size_t c = 0; c < dcu.controllers.size(); ++c) {
       const fsm::UnitController& ctl = dcu.controllers[c];
       if (!ctl.telescopic) continue;
-      const ParsedState p = parseState(ctl.fsm.stateName(state[c]));
-      if (p.kind == 'S' && classes.isShort(ctl.ops[p.index])) {
+      const fsm::StateName p =
+          fsm::parseStateName(ctl.fsm.stateName(config.states[c]));
+      if (raisesCompletion(ctl, p)) {
         external.insert(
             fsm::unitCompletionSignal(s.binding.unit(ctl.unitId)));
       }
     }
-    // Completion-pulse fixpoint (emission is independent of CCO inputs in the
-    // generated machines; iterate defensively).
-    std::unordered_set<std::string> emitted;
-    for (int iter = 0;; ++iter) {
-      TAUHLS_ASSERT(iter < 4, "completion-pulse fixpoint did not converge");
-      std::unordered_set<std::string> next;
-      for (std::size_t c = 0; c < n; ++c) {
-        std::unordered_set<std::string> asserted = external;
-        asserted.insert(emitted.begin(), emitted.end());
-        asserted.insert(latches[c].begin(), latches[c].end());
-        const auto r = dcu.controllers[c].fsm.step(state[c], asserted);
-        for (const std::string& o : r.outputs) {
-          if (o.starts_with("CCO_")) next.insert(o);
-        }
-      }
-      if (next == emitted) break;
-      emitted = std::move(next);
-    }
-    // Commit: advance every controller, collect outputs, update latches.
+    fsm::NetworkStep step = fsm::stepNetwork(dcu, config, external);
+    if (onStep) onStep(step);
+    config = std::move(step.next);
     std::vector<std::string> cycleOutputs;
-    for (std::size_t c = 0; c < n; ++c) {
-      std::unordered_set<std::string> asserted = external;
-      asserted.insert(emitted.begin(), emitted.end());
-      asserted.insert(latches[c].begin(), latches[c].end());
-      const fsm::Transition* fired = nullptr;
-      for (const fsm::Transition* t :
-           dcu.controllers[c].fsm.transitionsFrom(state[c])) {
-        if (t->guard.evaluate(asserted)) {
-          fired = t;
-          break;
-        }
-      }
-      TAUHLS_ASSERT(fired != nullptr, "controller stuck during simulation");
-      state[c] = fired->to;
-      for (const std::string& o : fired->outputs) {
+    for (const std::vector<std::string>& fired : step.outputs) {
+      for (const std::string& o : fired) {
         cycleOutputs.push_back(o);
         pendingRe.erase(o);
-      }
-      // Level-sensitive completion latches: set by the pulse, held for the
-      // rest of the iteration (cleared by the restart strobe in hardware).
-      for (const std::string& sig : dcu.controllers[c].latchedInputs) {
-        if (emitted.contains(sig)) latches[c].insert(sig);
       }
     }
     std::sort(cycleOutputs.begin(), cycleOutputs.end());
@@ -133,6 +69,19 @@ SimTrace runDistributed(const fsm::DistributedControlUnit& dcu,
                "distributed simulation did not finish within the cycle bound");
   trace.latencyCycles = static_cast<int>(trace.outputsPerCycle.size());
   return trace;
+}
+
+SimTrace runDistributed(const fsm::DistributedControlUnit& dcu,
+                        const sched::ScheduledDfg& s,
+                        const OperandClasses& classes, int maxCycles) {
+  TAUHLS_CHECK(classes.shortClass.size() == s.graph.numNodes(),
+               "operand-class vector size mismatch");
+  return runDistributed(
+      dcu, s,
+      [&](const fsm::UnitController& ctl, const fsm::StateName& state) {
+        return state.isExecute(0) && classes.isShort(ctl.ops[state.index]);
+      },
+      maxCycles);
 }
 
 SimTrace runCentSync(const fsm::Fsm& centSync, const sched::ScheduledDfg& s,
@@ -149,10 +98,11 @@ SimTrace runCentSync(const fsm::Fsm& centSync, const sched::ScheduledDfg& s,
   for (int cycle = 0; cycle < maxCycles && !pendingRe.empty(); ++cycle) {
     // Datapath model: in state S_k (first half of step k), the unit executing
     // a TAU op of that step raises C when the op is SD-class.
-    const ParsedState p = parseState(centSync.stateName(state));
-    TAUHLS_ASSERT(p.kind != '?', "unexpected state name in CENT-SYNC FSM");
+    const fsm::StateName p = fsm::parseStateName(centSync.stateName(state));
+    TAUHLS_ASSERT(p.kind == fsm::StateName::Kind::Execute,
+                  "unexpected state name in CENT-SYNC FSM");
     std::unordered_set<std::string> asserted;
-    if (p.kind == 'S') {
+    if (p.isExecute(0)) {
       const sched::TaubmStep& step = s.taubm.steps[p.index];
       for (NodeId v : step.tauOps) {
         if (classes.isShort(v)) {
@@ -178,13 +128,8 @@ int compareProductToDistributed(const fsm::DistributedControlUnit& dcu,
                                 const fsm::Fsm& product, std::uint64_t seed,
                                 int numTraces, int traceLength) {
   std::mt19937_64 rng(seed);
-  const std::size_t n = dcu.controllers.size();
   for (int t = 0; t < numTraces; ++t) {
-    std::vector<int> state(n);
-    std::vector<std::set<std::string>> latches(n);
-    for (std::size_t c = 0; c < n; ++c) {
-      state[c] = dcu.controllers[c].fsm.initial();
-    }
+    fsm::NetworkConfig config = fsm::initialConfig(dcu);
     int productState = product.initial();
 
     for (int cycle = 0; cycle < traceLength; ++cycle) {
@@ -192,43 +137,12 @@ int compareProductToDistributed(const fsm::DistributedControlUnit& dcu,
       for (const std::string& in : dcu.externalInputs) {
         if (std::uniform_int_distribution<int>(0, 1)(rng)) external.insert(in);
       }
-      // Distributed side: pulse fixpoint, then commit.
-      std::unordered_set<std::string> emitted;
-      for (int iter = 0;; ++iter) {
-        TAUHLS_ASSERT(iter < 4, "completion-pulse fixpoint did not converge");
-        std::unordered_set<std::string> next;
-        for (std::size_t c = 0; c < n; ++c) {
-          std::unordered_set<std::string> asserted = external;
-          asserted.insert(emitted.begin(), emitted.end());
-          asserted.insert(latches[c].begin(), latches[c].end());
-          const auto r = dcu.controllers[c].fsm.step(state[c], asserted);
-          for (const std::string& o : r.outputs) {
-            if (o.starts_with("CCO_")) next.insert(o);
-          }
-        }
-        if (next == emitted) break;
-        emitted = std::move(next);
-      }
+      fsm::NetworkStep step = fsm::stepNetwork(dcu, config, external);
+      config = std::move(step.next);
       std::vector<std::string> visible;
-      for (std::size_t c = 0; c < n; ++c) {
-        std::unordered_set<std::string> asserted = external;
-        asserted.insert(emitted.begin(), emitted.end());
-        asserted.insert(latches[c].begin(), latches[c].end());
-        const fsm::Transition* fired = nullptr;
-        for (const fsm::Transition* tr :
-             dcu.controllers[c].fsm.transitionsFrom(state[c])) {
-          if (tr->guard.evaluate(asserted)) {
-            fired = tr;
-            break;
-          }
-        }
-        TAUHLS_ASSERT(fired != nullptr, "controller stuck in trace comparison");
-        state[c] = fired->to;
-        for (const std::string& o : fired->outputs) {
-          if (!o.starts_with("CCO_")) visible.push_back(o);
-        }
-        for (const std::string& sig : dcu.controllers[c].latchedInputs) {
-          if (emitted.contains(sig)) latches[c].insert(sig);
+      for (const std::vector<std::string>& fired : step.outputs) {
+        for (const std::string& o : fired) {
+          if (!dcu.producerOf.contains(o)) visible.push_back(o);
         }
       }
       // Product side.

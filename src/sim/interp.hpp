@@ -8,11 +8,14 @@
 // operand-class assignment).
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "fsm/cent_sync.hpp"
 #include "fsm/distributed.hpp"
+#include "fsm/network.hpp"
+#include "fsm/signal.hpp"
 #include "sim/classes.hpp"
 
 namespace tauhls::sim {
@@ -32,7 +35,20 @@ struct SimTrace {
   int firstCycle(const std::string& signal) const;
 };
 
-/// Run the distributed control unit for one DFG iteration.
+/// Datapath model: whether telescopic controller `ctl`'s unit raises its C
+/// during a cycle the controller spends in `state`.
+using CompletionModel = std::function<bool(const fsm::UnitController& ctl,
+                                           const fsm::StateName& state)>;
+
+/// Run the distributed control unit for one DFG iteration against
+/// `raisesCompletion`; `onStep`, when set, sees every cycle's network step.
+SimTrace runDistributed(
+    const fsm::DistributedControlUnit& dcu, const sched::ScheduledDfg& s,
+    const CompletionModel& raisesCompletion, int maxCycles = 100000,
+    const std::function<void(const fsm::NetworkStep&)>& onStep = {});
+
+/// Run the distributed control unit for one DFG iteration; a unit raises C
+/// in the first execution cycle of an SD-class op.
 SimTrace runDistributed(const fsm::DistributedControlUnit& dcu,
                         const sched::ScheduledDfg& s,
                         const OperandClasses& classes, int maxCycles = 100000);

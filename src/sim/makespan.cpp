@@ -17,6 +17,17 @@ std::vector<int> distributedFinishCycles(const sched::ScheduledDfg& s,
                                          const OperandClasses& classes) {
   TAUHLS_CHECK(classes.shortClass.size() == s.graph.numNodes(),
                "operand-class vector size mismatch");
+  std::vector<int> opCycles(s.graph.numNodes(), 0);
+  for (NodeId v : s.graph.opIds()) {
+    opCycles[v] = s.opCycles(v, classes.isShort(v));
+  }
+  return distributedFinishCycles(s, opCycles);
+}
+
+std::vector<int> distributedFinishCycles(const sched::ScheduledDfg& s,
+                                         const std::vector<int>& opCycles) {
+  TAUHLS_CHECK(opCycles.size() == s.graph.numNodes(),
+               "op-cycle vector size mismatch");
   std::vector<int> finish(s.graph.numNodes(), -1);
 
   // Previous op on the same unit.
@@ -39,7 +50,7 @@ std::vector<int> distributedFinishCycles(const sched::ScheduledDfg& s,
                     "unit sequence out of topological order");
       start = std::max(start, finish[prevOnUnit[v]] + 1);
     }
-    finish[v] = start + s.opCycles(v, classes.isShort(v)) - 1;
+    finish[v] = start + opCycles[v] - 1;
   }
   return finish;
 }

@@ -27,6 +27,11 @@ int syncMakespanCycles(const sched::ScheduledDfg& s,
 std::vector<int> distributedFinishCycles(const sched::ScheduledDfg& s,
                                          const OperandClasses& classes);
 
+/// The same when op v occupies its unit for opCycles[v] cycles (indexed by
+/// NodeId) -- e.g. multi-level VCAU durations.
+std::vector<int> distributedFinishCycles(const sched::ScheduledDfg& s,
+                                         const std::vector<int>& opCycles);
+
 /// Precomputed evaluation context for the latency-statistics kernels.
 ///
 /// The schedule, binding and topological bookkeeping are flattened once into

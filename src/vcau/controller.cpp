@@ -1,166 +1,25 @@
 #include "vcau/controller.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
-#include "common/strings.hpp"
-#include "fsm/signal.hpp"
 
 namespace tauhls::vcau {
 
-using dfg::NodeId;
-
 int levelsOfUnit(const sched::ScheduledDfg& s,
                  const MultiLevelLibrary& overrides, int unitId) {
-  const dfg::ResourceClass cls = s.binding.unit(unitId).cls;
-  auto it = overrides.find(cls);
+  auto it = overrides.find(s.binding.unit(unitId).cls);
   if (it != overrides.end()) return it->second.numLevels();
-  return s.unitIsTelescopic(unitId) ? 2 : 1;
+  return fsm::levelsOfUnit(s, {}, unitId);
 }
-
-namespace {
-
-std::vector<std::string> externalPredSignals(const sched::ScheduledDfg& s,
-                                             NodeId op, int unitId) {
-  std::vector<std::string> out;
-  for (NodeId p : s.graph.dependencePredecessors(op)) {
-    if (!s.graph.isOp(p)) continue;
-    if (s.binding.unitOf(p) != unitId) {
-      out.push_back(fsm::opCompletionSignal(s.graph.node(p).name));
-    }
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-fsm::UnitController buildController(const sched::ScheduledDfg& s,
-                                    const MultiLevelLibrary& overrides,
-                                    int unitId) {
-  const sched::UnitInstance& unit = s.binding.unit(unitId);
-  const std::vector<NodeId>& seq = s.binding.sequenceOf(unitId);
-  const int levels = levelsOfUnit(s, overrides, unitId);
-  const int n = static_cast<int>(seq.size());
-
-  fsm::UnitController ctl;
-  ctl.unitId = unitId;
-  ctl.telescopic = levels > 1;
-  ctl.ops = seq;
-  ctl.fsm = fsm::Fsm("D_FSM_" + unit.name);
-  fsm::Fsm& machine = ctl.fsm;
-
-  const std::string cT = fsm::unitCompletionSignal(unit);
-  if (levels > 1) machine.addInput(cT);
-
-  std::vector<std::vector<std::string>> preds(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    preds[static_cast<std::size_t>(i)] = externalPredSignals(s, seq[i], unitId);
-    for (const std::string& sig : preds[static_cast<std::size_t>(i)]) {
-      machine.addInput(sig);
-      ctl.latchedInputs.push_back(sig);
-    }
-    const std::string& opName = s.graph.node(seq[i]).name;
-    machine.addOutput(fsm::operandFetchSignal(opName));
-    machine.addOutput(fsm::registerEnableSignal(opName));
-    machine.addOutput(fsm::opCompletionSignal(opName));
-  }
-  std::sort(ctl.latchedInputs.begin(), ctl.latchedInputs.end());
-  ctl.latchedInputs.erase(
-      std::unique(ctl.latchedInputs.begin(), ctl.latchedInputs.end()),
-      ctl.latchedInputs.end());
-
-  // States: level chain per op (S<i>, S<i>p, S<i>pp, ...), R<i> when needed.
-  std::vector<std::vector<int>> stateS(static_cast<std::size_t>(n));
-  std::vector<int> stateR(static_cast<std::size_t>(n), -1);
-  for (int i = 0; i < n; ++i) {
-    for (int k = 0; k < levels; ++k) {
-      stateS[static_cast<std::size_t>(i)].push_back(machine.addState(
-          numbered("S", i) + std::string(static_cast<std::size_t>(k), 'p')));
-    }
-    if (!preds[static_cast<std::size_t>(i)].empty()) {
-      stateR[static_cast<std::size_t>(i)] =
-          machine.addState(numbered("R", i));
-    }
-  }
-  machine.setInitial(stateR[0] != -1 ? stateR[0] : stateS[0][0]);
-
-  for (int i = 0; i < n; ++i) {
-    const int j = (i + 1) % n;
-    const std::string& opName = s.graph.node(seq[i]).name;
-    const std::vector<std::string> completing = {
-        fsm::operandFetchSignal(opName), fsm::registerEnableSignal(opName),
-        fsm::opCompletionSignal(opName)};
-    const auto& predsNext = preds[static_cast<std::size_t>(j)];
-
-    auto addCompleting = [&](int src, const fsm::Guard& base) {
-      if (predsNext.empty()) {
-        machine.addTransition(src, stateS[static_cast<std::size_t>(j)][0], base,
-                              completing);
-      } else {
-        machine.addTransition(src, stateS[static_cast<std::size_t>(j)][0],
-                              base.conjoin(fsm::Guard::allOf(predsNext)),
-                              completing);
-        machine.addTransition(src, stateR[static_cast<std::size_t>(j)],
-                              base.conjoin(fsm::Guard::notAllOf(predsNext)),
-                              completing);
-      }
-    };
-
-    for (int k = 0; k < levels; ++k) {
-      const int src = stateS[static_cast<std::size_t>(i)][static_cast<std::size_t>(k)];
-      if (k < levels - 1) {
-        machine.addTransition(src,
-                              stateS[static_cast<std::size_t>(i)]
-                                    [static_cast<std::size_t>(k + 1)],
-                              fsm::Guard::literal(cT, false),
-                              {fsm::operandFetchSignal(opName)});
-        addCompleting(src, fsm::Guard::literal(cT, true));
-      } else {
-        addCompleting(src, fsm::Guard::always());
-      }
-    }
-    if (stateR[static_cast<std::size_t>(j)] != -1) {
-      machine.addTransition(stateR[static_cast<std::size_t>(j)],
-                            stateS[static_cast<std::size_t>(j)][0],
-                            fsm::Guard::allOf(predsNext), {});
-      machine.addTransition(stateR[static_cast<std::size_t>(j)],
-                            stateR[static_cast<std::size_t>(j)],
-                            fsm::Guard::notAllOf(predsNext), {});
-    }
-  }
-  fsm::validateFsm(machine);
-  return ctl;
-}
-
-}  // namespace
 
 fsm::DistributedControlUnit buildMultiLevelDistributed(
     const sched::ScheduledDfg& s, const MultiLevelLibrary& overrides) {
+  fsm::LevelOverrides levels;
   for (const auto& [cls, type] : overrides) {
     TAUHLS_CHECK(type.cls == cls, "override keyed under the wrong class");
     validateMultiLevelUnit(type, s.clockNs);
+    levels[cls] = type.numLevels();
   }
-  fsm::DistributedControlUnit dcu;
-  for (int u = 0; u < static_cast<int>(s.binding.numUnits()); ++u) {
-    dcu.controllers.push_back(buildController(s, overrides, u));
-  }
-  for (std::size_t c = 0; c < dcu.controllers.size(); ++c) {
-    const fsm::UnitController& ctl = dcu.controllers[c];
-    if (ctl.telescopic) {
-      dcu.externalInputs.push_back(
-          fsm::unitCompletionSignal(s.binding.unit(ctl.unitId)));
-    }
-    for (NodeId op : ctl.ops) {
-      dcu.producerOf[fsm::opCompletionSignal(s.graph.node(op).name)] =
-          static_cast<int>(c);
-    }
-  }
-  for (std::size_t c = 0; c < dcu.controllers.size(); ++c) {
-    for (const std::string& sig : dcu.controllers[c].latchedInputs) {
-      dcu.consumersOf[sig].insert(static_cast<int>(c));
-    }
-  }
-  return dcu;
+  return fsm::buildDistributed(s, levels);
 }
 
 }  // namespace tauhls::vcau

@@ -1,12 +1,8 @@
-// Generalized Algorithm 1 for multi-level VCAUs.
-//
-// Per bound operation O_i of an L-level unit: states S_i^0 .. S_i^{L-1}
-// (named "S<i>", "S<i>p", "S<i>pp", ...) plus R_i when O_i has cross-unit
-// predecessors.  In S_i^k with k < L-1 the guard reads the completion
-// signal C: when low, advance to S_i^{k+1}; when high (or unconditionally in
-// the last level) the op completes with the usual OF/RE/CCO outputs and the
-// predecessor-guarded hop to the next op's S/R state.  With L = 2 this is
-// exactly the paper's construction (asserted by the tests).
+// Algorithm 1 for multi-level VCAUs: fsm::buildDistributed with each
+// overridden class's level count, after validating the units' cycles-per-level
+// contract against the clock.  Per bound operation O_i of an L-level unit the
+// controller walks S_i^0 .. S_i^{L-1} ("S<i>", "S<i>p", "S<i>pp", ...); with
+// L = 2 this is exactly the paper's construction.
 #pragma once
 
 #include <map>

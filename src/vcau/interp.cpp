@@ -1,46 +1,8 @@
 #include "vcau/interp.hpp"
 
-#include <algorithm>
-#include <cctype>
-#include <set>
-#include <unordered_set>
-
 #include "common/error.hpp"
-#include "fsm/signal.hpp"
 
 namespace tauhls::vcau {
-
-using dfg::NodeId;
-
-namespace {
-
-/// Parse "S<i>p...p" (k trailing p's = level k) / "R<i>".
-struct ParsedState {
-  char kind = '?';
-  int index = -1;
-  int level = 0;
-};
-
-ParsedState parseState(const std::string& name) {
-  ParsedState p;
-  if (name.size() < 2) return p;
-  std::size_t end = name.size();
-  while (end > 1 && name[end - 1] == 'p') {
-    ++p.level;
-    --end;
-  }
-  const std::string digits = name.substr(1, end - 1);
-  if (digits.empty()) return p;
-  for (char c : digits) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return p;
-  }
-  p.index = std::stoi(digits);
-  if (name[0] == 'S') p.kind = 'S';
-  if (name[0] == 'R' && p.level == 0) p.kind = 'R';
-  return p;
-}
-
-}  // namespace
 
 sim::SimTrace runDistributed(const fsm::DistributedControlUnit& dcu,
                              const sched::ScheduledDfg& s,
@@ -48,76 +10,18 @@ sim::SimTrace runDistributed(const fsm::DistributedControlUnit& dcu,
                              const LevelClasses& classes, int maxCycles) {
   TAUHLS_CHECK(classes.levelOf.size() == s.graph.numNodes(),
                "level-class vector size mismatch");
-  // Guard against class assignments outside the overridden units' ranges.
+  // Reject class assignments outside the units' level ranges.
   for (dfg::NodeId v : s.graph.opIds()) {
-    const int levels = levelsOfUnit(s, overrides, s.binding.unitOf(v));
-    TAUHLS_CHECK(classes.level(v) >= 0 && classes.level(v) < levels,
-                 "level out of range for op " + s.graph.node(v).name);
+    opLevelCycles(s, overrides, v, classes.level(v));
   }
-  const std::size_t n = dcu.controllers.size();
-  std::vector<int> state(n);
-  std::vector<std::set<std::string>> latches(n);
-  for (std::size_t c = 0; c < n; ++c) state[c] = dcu.controllers[c].fsm.initial();
-
-  std::set<std::string> pendingRe;
-  for (NodeId v : s.graph.opIds()) {
-    pendingRe.insert(fsm::registerEnableSignal(s.graph.node(v).name));
-  }
-
-  sim::SimTrace trace;
-  for (int cycle = 0; cycle < maxCycles && !pendingRe.empty(); ++cycle) {
-    // Datapath: C during the completing level's cycle.
-    std::unordered_set<std::string> external;
-    for (std::size_t c = 0; c < n; ++c) {
-      const fsm::UnitController& ctl = dcu.controllers[c];
-      if (!ctl.telescopic) continue;
-      const ParsedState p = parseState(ctl.fsm.stateName(state[c]));
-      if (p.kind == 'S' && p.level == classes.level(ctl.ops[p.index])) {
-        external.insert(
-            fsm::unitCompletionSignal(s.binding.unit(ctl.unitId)));
-      }
-    }
-    std::unordered_set<std::string> emitted;
-    for (int iter = 0;; ++iter) {
-      TAUHLS_ASSERT(iter < 4, "completion-pulse fixpoint did not converge");
-      std::unordered_set<std::string> next;
-      for (std::size_t c = 0; c < n; ++c) {
-        std::unordered_set<std::string> asserted = external;
-        asserted.insert(emitted.begin(), emitted.end());
-        asserted.insert(latches[c].begin(), latches[c].end());
-        const auto r = dcu.controllers[c].fsm.step(state[c], asserted);
-        for (const std::string& o : r.outputs) {
-          if (o.starts_with("CCO_")) next.insert(o);
-        }
-      }
-      if (next == emitted) break;
-      emitted = std::move(next);
-    }
-    std::vector<std::string> cycleOutputs;
-    for (std::size_t c = 0; c < n; ++c) {
-      std::unordered_set<std::string> asserted = external;
-      asserted.insert(emitted.begin(), emitted.end());
-      asserted.insert(latches[c].begin(), latches[c].end());
-      const auto r = dcu.controllers[c].fsm.step(state[c], asserted);
-      state[c] = r.nextState;
-      for (const std::string& o : r.outputs) {
-        cycleOutputs.push_back(o);
-        pendingRe.erase(o);
-      }
-      for (const std::string& sig : dcu.controllers[c].latchedInputs) {
-        if (emitted.contains(sig)) latches[c].insert(sig);
-      }
-    }
-    std::sort(cycleOutputs.begin(), cycleOutputs.end());
-    trace.outputsPerCycle.push_back(std::move(cycleOutputs));
-    std::vector<std::string> ext(external.begin(), external.end());
-    std::sort(ext.begin(), ext.end());
-    trace.externalsPerCycle.push_back(std::move(ext));
-  }
-  TAUHLS_CHECK(pendingRe.empty(),
-               "multi-level simulation did not finish within the cycle bound");
-  trace.latencyCycles = static_cast<int>(trace.outputsPerCycle.size());
-  return trace;
+  // Datapath: C during the completing level's cycle.
+  return sim::runDistributed(
+      dcu, s,
+      [&](const fsm::UnitController& ctl, const fsm::StateName& state) {
+        return state.kind == fsm::StateName::Kind::Execute &&
+               state.level == classes.level(ctl.ops[state.index]);
+      },
+      maxCycles);
 }
 
 }  // namespace tauhls::vcau

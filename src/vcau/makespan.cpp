@@ -4,24 +4,15 @@
 #include <random>
 
 #include "common/error.hpp"
-#include "dfg/analysis.hpp"
+#include "sim/makespan.hpp"
 
 namespace tauhls::vcau {
 
 using dfg::NodeId;
 
-namespace {
-
-int levelsOfOp(const sched::ScheduledDfg& s, const MultiLevelLibrary& overrides,
-               NodeId v) {
-  return levelsOfUnit(s, overrides, s.binding.unitOf(v));
-}
-
-}  // namespace
-
 int opLevelCycles(const sched::ScheduledDfg& s,
                   const MultiLevelLibrary& overrides, NodeId v, int level) {
-  const int levels = levelsOfOp(s, overrides, v);
+  const int levels = levelsOfUnit(s, overrides, s.binding.unitOf(v));
   TAUHLS_CHECK(level >= 0 && level < levels,
                "level out of range for op " + s.graph.node(v).name);
   // Contract: level k takes k+1 cycles (validated at controller build).
@@ -41,7 +32,7 @@ LevelClasses allSlowest(const sched::ScheduledDfg& s,
   LevelClasses c;
   c.levelOf.assign(s.graph.numNodes(), 0);
   for (NodeId v : s.graph.opIds()) {
-    c.levelOf[v] = levelsOfOp(s, overrides, v) - 1;
+    c.levelOf[v] = levelsOfUnit(s, overrides, s.binding.unitOf(v)) - 1;
   }
   return c;
 }
@@ -74,25 +65,13 @@ int distributedMakespanCycles(const sched::ScheduledDfg& s,
                               const LevelClasses& classes) {
   TAUHLS_CHECK(classes.levelOf.size() == s.graph.numNodes(),
                "level-class vector size mismatch");
-  std::vector<NodeId> prevOnUnit(s.graph.numNodes(), dfg::kNoNode);
-  for (std::size_t u = 0; u < s.binding.numUnits(); ++u) {
-    const auto& seq = s.binding.sequenceOf(static_cast<int>(u));
-    for (std::size_t i = 1; i < seq.size(); ++i) prevOnUnit[seq[i]] = seq[i - 1];
+  std::vector<int> opCycles(s.graph.numNodes(), 0);
+  for (NodeId v : s.graph.opIds()) {
+    opCycles[v] = opLevelCycles(s, overrides, v, classes.level(v));
   }
-  std::vector<int> finish(s.graph.numNodes(), -1);
+  const std::vector<int> finish = sim::distributedFinishCycles(s, opCycles);
   int last = -1;
-  for (NodeId v : dfg::topologicalOrder(s.graph)) {
-    if (!s.graph.isOp(v)) continue;
-    int start = 0;
-    for (NodeId p : s.graph.dependencePredecessors(v)) {
-      if (s.graph.isOp(p)) start = std::max(start, finish[p] + 1);
-    }
-    if (prevOnUnit[v] != dfg::kNoNode) {
-      start = std::max(start, finish[prevOnUnit[v]] + 1);
-    }
-    finish[v] = start + opLevelCycles(s, overrides, v, classes.level(v)) - 1;
-    last = std::max(last, finish[v]);
-  }
+  for (NodeId v : s.graph.opIds()) last = std::max(last, finish[v]);
   return last + 1;
 }
 

@@ -12,6 +12,7 @@
 #include "aig/sat.hpp"
 #include "aig/unroll.hpp"
 #include "common/error.hpp"
+#include "fsm/network.hpp"
 #include "fsm/signal.hpp"
 #include "verify/model_check.hpp"
 
@@ -84,8 +85,8 @@ struct ControllerModel {
 
 /// One instantiation of the three-phase product step as template cones.
 struct StepCones {
-  std::map<std::string, Lit> pulse;  ///< final emitted set (4th iterate)
-  Lit nonConv = aig::kLitFalse;      ///< 4th iterate != 3rd (fixpoint failed)
+  std::map<std::string, Lit> pulse;  ///< final emitted set (last iterate)
+  Lit nonConv = aig::kLitFalse;      ///< last iterate != previous (no fixpoint)
   std::vector<std::vector<Lit>> nextSt;
   std::map<std::pair<int, std::string>, Lit> nextLat;
   std::vector<Lit> rePulse;  ///< per op: RE fires this cycle
@@ -168,15 +169,15 @@ std::map<std::string, Lit> emitIterate(Network& net,
 }
 
 /// Builds the three product phases as template cones, mirroring
-/// fsm::buildProduct: four emission iterates (the product's convergence
-/// budget), priority-encoded transition firing under the final iterate, and
-/// sticky latch updates.
+/// fsm::stepNetwork: fsm::kPulseFixpointIterations emission iterates (its
+/// convergence budget), priority-encoded transition firing under the final
+/// iterate, and sticky latch updates.
 StepCones buildStep(Network& net, const OpTable& table, bool extTrue) {
   StepCones out;
   std::map<std::string, Lit> e;
   for (const std::string& sig : net.internal) e[sig] = aig::kLitFalse;
   std::map<std::string, Lit> prev;
-  for (int iter = 0; iter < 4; ++iter) {
+  for (int iter = 0; iter < fsm::kPulseFixpointIterations; ++iter) {
     prev = e;
     e = emitIterate(net, e, extTrue);
   }

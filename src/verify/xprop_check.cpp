@@ -239,8 +239,9 @@ NetModel buildFlatModel(const fsm::DistributedControlUnit& dcu,
   // Completion pulses can cascade within one clock: `<sig>_level = held |
   // pulse` feeds the next controller's guard combinationally, and the signal
   // graph may even be structurally cyclic (AR-lattice).  The emitted RTL
-  // settles this net to a monotone fixpoint (vsim settle(); fsm/product.cpp
-  // phase 1, asserted to converge within 2 rounds for generated controllers).
+  // settles this net to a monotone fixpoint (vsim settle(); the pulse
+  // fixpoint of fsm::stepNetwork, which converges within 2 rounds for
+  // generated controllers).
   // An AIG is a DAG, so unroll that fixpoint: three rounds, each rebuilding
   // every pulse cone against the previous round's pulses, with round 0
   // seeing the held latches only.  Hash-consing collapses rounds that have

@@ -1,11 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "common/error.hpp"
 #include "core/cli.hpp"
+#include "testutil.hpp"
 
 namespace tauhls::core {
 namespace {
@@ -98,10 +99,13 @@ TEST(CliParse, HelpShortCircuits) {
   EXPECT_NE(cliHelp().find("--alloc"), std::string::npos);
 }
 
+/// Every file a CliRun case touches lives in its own test's directory; the
+/// file names inside stay fixed because the design name is the input's stem.
 class CliRun : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "cli_test.dfg";
+    dir_ = test::testScratchDir();
+    path_ = dir_ + "cli_test.dfg";
     std::ofstream f(path_);
     f << "in a, b, c, d\n"
          "m1 = a * b\n"
@@ -109,7 +113,8 @@ class CliRun : public ::testing::Test {
          "s1 = m1 + m2\n"
          "out s1\n";
   }
-  void TearDown() override { std::remove(path_.c_str()); }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+  std::string dir_;
   std::string path_;
 };
 
@@ -129,7 +134,7 @@ TEST_F(CliRun, EndToEndReports) {
 TEST_F(CliRun, WritesTestbench) {
   CliOptions o;
   o.inputPath = path_;
-  o.testbenchPath = ::testing::TempDir() + "cli_test_tb.v";
+  o.testbenchPath = dir_ + "cli_test_tb.v";
   std::ostringstream out;
   std::ostringstream err;
   EXPECT_EQ(runCli(o, out, err), 0);
@@ -139,15 +144,14 @@ TEST_F(CliRun, WritesTestbench) {
   content << tb.rdbuf();
   EXPECT_NE(content.str().find("module dcu_cli_test_tb;"), std::string::npos);
   EXPECT_NE(content.str().find("$finish"), std::string::npos);
-  std::remove(o.testbenchPath.c_str());
 }
 
 TEST_F(CliRun, WritesArtifacts) {
   CliOptions o;
   o.inputPath = path_;
-  o.verilogPath = ::testing::TempDir() + "cli_test.v";
-  o.kissPrefix = ::testing::TempDir() + "cli_test";
-  o.dotPath = ::testing::TempDir() + "cli_test.dot";
+  o.verilogPath = dir_ + "cli_test.v";
+  o.kissPrefix = dir_ + "cli_test";
+  o.dotPath = dir_ + "cli_test.dot";
   std::ostringstream out;
   std::ostringstream err;
   EXPECT_EQ(runCli(o, out, err), 0);
@@ -160,17 +164,12 @@ TEST_F(CliRun, WritesArtifacts) {
   EXPECT_TRUE(d.good());
   std::ifstream k(o.kissPrefix + "_D_FSM_mult1.kiss2");
   EXPECT_TRUE(k.good());
-  std::remove(o.verilogPath.c_str());
-  std::remove(o.dotPath.c_str());
-  std::remove((o.kissPrefix + "_D_FSM_mult1.kiss2").c_str());
-  std::remove((o.kissPrefix + "_D_FSM_mult2.kiss2").c_str());
-  std::remove((o.kissPrefix + "_D_FSM_adder1.kiss2").c_str());
 }
 
 TEST_F(CliRun, WritesJson) {
   CliOptions o;
   o.inputPath = path_;
-  o.jsonPath = ::testing::TempDir() + "cli_test.json";
+  o.jsonPath = dir_ + "cli_test.json";
   std::ostringstream out;
   std::ostringstream err;
   EXPECT_EQ(runCli(o, out, err), 0);
@@ -180,13 +179,12 @@ TEST_F(CliRun, WritesJson) {
   content << j.rdbuf();
   EXPECT_NE(content.str().find("\"design\":\"cli_test\""), std::string::npos);
   EXPECT_NE(content.str().find("\"latency\":"), std::string::npos);
-  std::remove(o.jsonPath.c_str());
 }
 
 TEST_F(CliRun, WritesPipelineTrace) {
   CliOptions o;
   o.inputPath = path_;
-  o.traceJsonPath = ::testing::TempDir() + "cli_test_trace.json";
+  o.traceJsonPath = dir_ + "cli_test_trace.json";
   std::ostringstream out;
   std::ostringstream err;
   EXPECT_EQ(runCli(o, out, err), 0);
@@ -198,7 +196,6 @@ TEST_F(CliRun, WritesPipelineTrace) {
   EXPECT_NE(content.str().find("\"schedule\""), std::string::npos);
   EXPECT_NE(content.str().find("\"cache\""), std::string::npos);
   EXPECT_NE(out.str().find("wrote pipeline trace"), std::string::npos);
-  std::remove(o.traceJsonPath.c_str());
 }
 
 TEST_F(CliRun, MissingFileFails) {
@@ -249,7 +246,7 @@ TEST_F(CliRun, LintEquivTimingEndToEnd) {
 }
 
 TEST_F(CliRun, LintJsonHasSchemaAndRuleCounts) {
-  const std::string jsonPath = ::testing::TempDir() + "cli_lint.json";
+  const std::string jsonPath = dir_ + "cli_lint.json";
   CliOptions o;
   o.lint = true;
   o.lintEquiv = true;
@@ -264,7 +261,6 @@ TEST_F(CliRun, LintJsonHasSchemaAndRuleCounts) {
   std::ostringstream buffer;
   buffer << j.rdbuf();
   const std::string json = buffer.str();
-  std::remove(jsonPath.c_str());
   EXPECT_NE(json.find("\"schema\":\"tauhls-lint\""), std::string::npos);
   EXPECT_NE(json.find("\"version\":5"), std::string::npos);
   EXPECT_NE(json.find("\"byRule\":"), std::string::npos);
@@ -306,7 +302,7 @@ TEST(CliParse, ModelCheckAndMaxStatesFlags) {
 }
 
 TEST_F(CliRun, LintSymbolicEndToEnd) {
-  const std::string jsonPath = ::testing::TempDir() + "cli_lint_sym.json";
+  const std::string jsonPath = dir_ + "cli_lint_sym.json";
   CliOptions o;
   o.lint = true;
   o.inputPath = path_;
@@ -323,7 +319,6 @@ TEST_F(CliRun, LintSymbolicEndToEnd) {
   std::ostringstream buffer;
   buffer << j.rdbuf();
   const std::string json = buffer.str();
-  std::remove(jsonPath.c_str());
   EXPECT_NE(json.find("\"version\":5"), std::string::npos);
   EXPECT_NE(json.find("\"symbolic\":[{"), std::string::npos);
   EXPECT_NE(json.find("\"verdict\":\"PROVED\""), std::string::npos);
@@ -331,7 +326,7 @@ TEST_F(CliRun, LintSymbolicEndToEnd) {
 }
 
 TEST_F(CliRun, LintXpropEndToEnd) {
-  const std::string jsonPath = ::testing::TempDir() + "cli_lint_xprop.json";
+  const std::string jsonPath = dir_ + "cli_lint_xprop.json";
   CliOptions o;
   o.lint = true;
   o.lintXprop = true;
@@ -347,7 +342,6 @@ TEST_F(CliRun, LintXpropEndToEnd) {
   std::ostringstream buffer;
   buffer << j.rdbuf();
   const std::string json = buffer.str();
-  std::remove(jsonPath.c_str());
   EXPECT_NE(json.find("\"version\":5"), std::string::npos);
   EXPECT_NE(json.find("\"xprop\":[{"), std::string::npos);
   EXPECT_NE(json.find("\"rule\":\"XPR001\""), std::string::npos);
@@ -358,7 +352,7 @@ TEST_F(CliRun, LintXpropEndToEnd) {
 }
 
 TEST_F(CliRun, LintOnlyFiltersAndReportsSkipped) {
-  const std::string jsonPath = ::testing::TempDir() + "cli_lint_only.json";
+  const std::string jsonPath = dir_ + "cli_lint_only.json";
   CliOptions o;
   o.lint = true;
   o.lintXprop = true;
@@ -373,7 +367,6 @@ TEST_F(CliRun, LintOnlyFiltersAndReportsSkipped) {
   std::ostringstream buffer;
   buffer << j.rdbuf();
   const std::string json = buffer.str();
-  std::remove(jsonPath.c_str());
   // The XPR004 summary (and everything else) was filtered, and the filter
   // says so instead of silently dropping the rows.
   EXPECT_EQ(json.find("\"code\":\"XPR004\""), std::string::npos);

@@ -7,6 +7,7 @@
 #include "dfg/random.hpp"
 #include "fsm/cent_sync.hpp"
 #include "fsm/distributed.hpp"
+#include "fsm/network.hpp"
 #include "fsm/product.hpp"
 #include "fsm/signal.hpp"
 #include "fsm/signal_opt.hpp"
@@ -276,6 +277,36 @@ TEST(Product, CrossUnitDependencyResolvesThroughLatch) {
   // cycle 1, moving the adder R0 -> S0 at that edge; the add executes in
   // cycle 2 and RE_s is asserted on its completing transition.
   EXPECT_EQ(reCycle, 2);
+}
+
+TEST(Network, PulsesAreProducedSignalsAndLatchesHoldThem) {
+  // Walk the diffeq network under all-LD inputs: each cycle's pulses are
+  // exactly the fired producerOf signals, and a controller's latch set grows
+  // by exactly the pulses it consumes.
+  ScheduledDfg s = scheduledDiffeq();
+  DistributedControlUnit dcu = buildDistributed(s);
+  NetworkConfig config = initialConfig(dcu);
+  bool latched = false;
+  for (int cycle = 0; cycle < 30; ++cycle) {
+    const NetworkStep step = stepNetwork(dcu, config, {});
+    std::unordered_set<std::string> produced;
+    for (const std::vector<std::string>& fired : step.outputs) {
+      for (const std::string& o : fired) {
+        if (dcu.producerOf.contains(o)) produced.insert(o);
+      }
+    }
+    EXPECT_EQ(step.pulses, produced) << "cycle " << cycle;
+    for (std::size_t c = 0; c < dcu.controllers.size(); ++c) {
+      std::set<std::string> expected = config.latches[c];
+      for (const std::string& sig : dcu.controllers[c].latchedInputs) {
+        if (step.pulses.contains(sig)) expected.insert(sig);
+      }
+      EXPECT_EQ(step.next.latches[c], expected) << "cycle " << cycle;
+      latched |= !step.next.latches[c].empty();
+    }
+    config = step.next;
+  }
+  EXPECT_TRUE(latched);
 }
 
 TEST(SignalOpt, RemovesUnconsumedCompletionOutputs) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -20,6 +21,7 @@
 #include "fsm/hierarchical.hpp"
 #include "sched/region_schedule.hpp"
 #include "sim/region_sim.hpp"
+#include "testutil.hpp"
 #include "verify/region_check.hpp"
 
 namespace tauhls {
@@ -351,11 +353,12 @@ TEST(RegionCli, ParseBranchesSpec) {
 class RegionCliFile : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = "test_region_cli_tmp.dfg";
+    dir_ = test::testScratchDir();
+    path_ = dir_ + "test_region_cli_tmp.dfg";
     std::ofstream out(path_);
     out << dfg::firIirLoopText();
   }
-  void TearDown() override { std::remove(path_.c_str()); }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
 
   core::CliOptions baseOptions() {
     core::CliOptions o;
@@ -364,6 +367,7 @@ class RegionCliFile : public ::testing::Test {
     return o;
   }
 
+  std::string dir_;
   std::string path_;
 };
 

@@ -2,9 +2,14 @@
 // latency engines, and the reduction to the paper's two-level case.
 #include <gtest/gtest.h>
 
+#include <any>
+#include <memory>
+
 #include "common/error.hpp"
+#include "core/serialize.hpp"
 #include "dfg/benchmarks.hpp"
 #include "dfg/random.hpp"
+#include "fsm/signal.hpp"
 #include "sim/interp.hpp"
 #include "sim/stats.hpp"
 #include "testutil.hpp"
@@ -53,8 +58,9 @@ TEST(Unit, ValidationRules) {
 }
 
 TEST(Controller, TwoLevelReducesToPaperAlgorithm) {
-  // A two-level override must produce machines identical (same states,
-  // behaviour) to the standard Algorithm 1 generator.
+  // A two-level override must produce exactly the standard Algorithm 1
+  // network: byte-identical through the Distributed artifact codec, and
+  // trace-equivalent controller by controller.
   auto s = sched::scheduleAndBind(dfg::diffeq(),
                                   Allocation{{ResourceClass::Multiplier, 2},
                                              {ResourceClass::Adder, 1},
@@ -65,10 +71,14 @@ TEST(Controller, TwoLevelReducesToPaperAlgorithm) {
                                         {15, 20}, {0.5, 0.5})}};
   fsm::DistributedControlUnit a = fsm::buildDistributed(s);
   fsm::DistributedControlUnit b = buildMultiLevelDistributed(s, two);
+  auto encode = [](const fsm::DistributedControlUnit& dcu) {
+    return core::encodeArtifact(
+        core::Artifact::Distributed,
+        std::any(std::make_shared<const fsm::DistributedControlUnit>(dcu)));
+  };
+  EXPECT_EQ(encode(a), encode(b));
   ASSERT_EQ(a.controllers.size(), b.controllers.size());
   for (std::size_t c = 0; c < a.controllers.size(); ++c) {
-    EXPECT_EQ(a.controllers[c].fsm.numStates(),
-              b.controllers[c].fsm.numStates());
     EXPECT_EQ(sim::compareOnRandomTraces(a.controllers[c].fsm,
                                          b.controllers[c].fsm, 5, 6, 40),
               -1)
@@ -200,12 +210,35 @@ TEST_P(VcauProperty, InterpEqualsMakespanOnRandomGraphs) {
                                              {ResourceClass::Adder, 1},
                                              {ResourceClass::Subtractor, 1}},
                                   clock10Library());
-  MultiLevelLibrary lib = threeLevelMult();
-  fsm::DistributedControlUnit dcu = buildMultiLevelDistributed(s, lib);
-  for (std::uint64_t trial = 0; trial < 6; ++trial) {
-    LevelClasses classes = randomLevels(s, lib, GetParam() * 50 + trial);
-    EXPECT_EQ(runDistributed(dcu, s, lib, classes).latencyCycles,
-              distributedMakespanCycles(s, lib, classes));
+  // One, two and three multiplier levels (10/20/30 ns at a 10 ns clock).
+  const std::vector<MultiLevelLibrary> libs = {
+      {{ResourceClass::Multiplier,
+        multiLevelUnit("tau1_mult", ResourceClass::Multiplier, {10}, {1.0})}},
+      {{ResourceClass::Multiplier,
+        multiLevelUnit("tau2_mult", ResourceClass::Multiplier, {10, 20},
+                       {0.6, 0.4})}},
+      threeLevelMult()};
+  for (const MultiLevelLibrary& lib : libs) {
+    fsm::DistributedControlUnit dcu = buildMultiLevelDistributed(s, lib);
+    // Every state the generator emits round-trips through the shared
+    // state-name parser.
+    for (const fsm::UnitController& ctl : dcu.controllers) {
+      for (int st = 0; st < static_cast<int>(ctl.fsm.numStates()); ++st) {
+        const std::string& name = ctl.fsm.stateName(st);
+        const fsm::StateName p = fsm::parseStateName(name);
+        ASSERT_NE(p.kind, fsm::StateName::Kind::Other) << name;
+        EXPECT_EQ(p.kind == fsm::StateName::Kind::Execute
+                      ? fsm::executionStateName(p.index, p.level)
+                      : fsm::readyStateName(p.index),
+                  name);
+        EXPECT_LT(p.level, levelsOfUnit(s, lib, ctl.unitId)) << name;
+      }
+    }
+    for (std::uint64_t trial = 0; trial < 6; ++trial) {
+      LevelClasses classes = randomLevels(s, lib, GetParam() * 50 + trial);
+      EXPECT_EQ(runDistributed(dcu, s, lib, classes).latencyCycles,
+                distributedMakespanCycles(s, lib, classes));
+    }
   }
 }
 

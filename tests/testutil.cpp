@@ -1,6 +1,9 @@
 #include "testutil.hpp"
 
 #include <algorithm>
+#include <filesystem>
+
+#include <gtest/gtest.h>
 
 namespace tauhls::test {
 
@@ -61,6 +64,17 @@ Dfg parallelMuls(int n) {
     g.markOutput(m);
   }
   return g;
+}
+
+std::string testScratchDir() {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      (std::string("tauhls_") + info->test_suite_name() + "_" + info->name());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir.string() + "/";
 }
 
 }  // namespace tauhls::test

@@ -25,4 +25,9 @@ dfg::Dfg mulChain(int n);
 /// `n` independent multiplications (maximal concurrency).
 dfg::Dfg parallelMuls(int n);
 
+/// A fresh directory (with trailing '/') under the gtest temp root, named
+/// after the running test.  ctest runs every case as its own process, in
+/// parallel, so files shared between cases under fixed names would race.
+std::string testScratchDir();
+
 }  // namespace tauhls::test

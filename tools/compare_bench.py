@@ -22,6 +22,10 @@ Known schemas and the bench binaries that emit them:
     tauhls-bench-pipeline    build/bench/pipeline_trajectory
     tauhls-bench-modelcheck  build/bench/model_check_speed
     tauhls-bench-regions     build/bench/region_flow
+    tauhls-bench-xcheck      build/bench/xcheck_speed
+
+A document with a repeated object key is rejected: the parser would keep
+only the last value, so the structural gate would silently skip the rest.
 
 Usage: compare_bench.py BASELINE CURRENT [-o REPORT.md]
 """
@@ -50,6 +54,25 @@ def flatten(prefix, node, out):
         out[prefix] = node
 
 
+def reject_duplicates(pairs):
+    """object_pairs_hook: a repeated key would silently hide all but its
+    last value from the comparison, so it is an error."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def load(path):
+    with open(path) as f:
+        try:
+            return json.load(f, object_pairs_hook=reject_duplicates)
+        except ValueError as e:
+            sys.exit(f"{path}: {e}")
+
+
 def main():
     parser = argparse.ArgumentParser(
         description=__doc__,
@@ -59,10 +82,8 @@ def main():
     parser.add_argument("-o", "--output", help="markdown report path")
     args = parser.parse_args()
 
-    with open(args.baseline) as f:
-        base = json.load(f)
-    with open(args.current) as f:
-        cur = json.load(f)
+    base = load(args.baseline)
+    cur = load(args.current)
 
     failures = []
     schema = base.get("schema")
