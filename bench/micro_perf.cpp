@@ -225,6 +225,33 @@ void BM_QmMinimize10Var(benchmark::State& state) {
 }
 BENCHMARK(BM_QmMinimize10Var)->Unit(benchmark::kMillisecond);
 
+// The controller-logic shape: a wide table whose function reads only a few
+// of its variables, so QM runs on the 4-variable projection.
+void BM_QmMinimizePlantedSupport(benchmark::State& state) {
+  constexpr int kRead[] = {1, 5, 8, 12};
+  logic::Ternary g[16];
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (logic::Ternary& t : g) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    t = (x & 3) == 0   ? logic::Ternary::One
+        : (x & 3) == 1 ? logic::Ternary::DontCare
+                       : logic::Ternary::Zero;
+  }
+  logic::TruthTable tt(14);
+  for (std::uint64_t r = 0; r < tt.numRows(); ++r) {
+    std::uint64_t sub = 0;
+    for (int i = 0; i < 4; ++i) sub |= ((r >> kRead[i]) & 1) << i;
+    tt.set(r, g[sub]);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(logic::minimizeExact(tt));
+  }
+  state.SetLabel("14-var table reading 4 vars");
+}
+BENCHMARK(BM_QmMinimizePlantedSupport)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -7,6 +7,7 @@
 #include <numeric>
 #include <set>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -23,10 +24,9 @@ struct CubeKey {
   auto operator<=>(const CubeKey&) const = default;
 };
 
-}  // namespace
-
-std::vector<Cube> primeImplicants(const TruthTable& tt) {
-  TAUHLS_CHECK(tt.numVars() <= 14, "primeImplicants limited to 14 variables");
+/// Sort-and-lookup QM over every variable of `tt`; primeImplicants runs it
+/// on the table's projection onto its support.
+std::vector<Cube> qmPrimes(const TruthTable& tt) {
   // Level 0: all onset + dc minterms as cubes.
   std::vector<Cube> current;
   for (std::uint64_t r = 0; r < tt.numRows(); ++r) {
@@ -130,6 +130,72 @@ std::vector<Cube> primeImplicants(const TruthTable& tt) {
     }
     current = std::move(next);
   }
+  return primes;
+}
+
+/// The variables `tt` reads: v is unread when flipping it never changes a
+/// row's value, don't-cares included.
+std::uint64_t supportMask(const TruthTable& tt) {
+  std::uint64_t support = 0;
+  for (int v = 0; v < tt.numVars(); ++v) {
+    const std::uint64_t bit = std::uint64_t{1} << v;
+    for (std::uint64_t r = 0; r < tt.numRows(); ++r) {
+      if (!(r & bit) && tt.get(r) != tt.get(r | bit)) {
+        support |= bit;
+        break;
+      }
+    }
+  }
+  return support;
+}
+
+}  // namespace
+
+std::vector<Cube> primeImplicants(const TruthTable& tt) {
+  TAUHLS_CHECK(tt.numVars() <= 14, "primeImplicants limited to 14 variables");
+  const int vars = tt.numVars();
+  const std::uint64_t all = (std::uint64_t{1} << vars) - 1;
+  const std::uint64_t support = supportMask(tt);
+  if (support == all) return qmPrimes(tt);
+
+  // Every prime of a function that ignores v has v free, so the primes are
+  // the projection's primes with the unread variables left free.  Variable
+  // i of the projection is the i-th lowest read variable; `row` walks the
+  // subsets of `support` in ascending order, so it is projected row p
+  // scattered back onto the read variables.
+  TruthTable projected(std::popcount(support));
+  std::uint64_t row = 0;
+  for (std::uint64_t p = 0; p < projected.numRows(); ++p) {
+    projected.set(p, tt.get(row));
+    row = (row - support) & support;
+  }
+  std::vector<Cube> primes;
+  for (const Cube& q : qmPrimes(projected)) {
+    Cube c = Cube::full(vars);
+    int i = 0;
+    for (std::uint64_t m = support; m != 0; m &= m - 1, ++i) {
+      if (q.hasLiteral(i)) {
+        c.setLiteral(std::countr_zero(m), q.literalPositive(i));
+      }
+    }
+    primes.push_back(c);
+  }
+
+  // Restore the order QM emits on the full table.  It emits level by level
+  // (popcount of the free mask F), and within a level in order of first
+  // generation.  A cube's first merge drops its lowest free variable b: it
+  // comes from the bucket (care | b, popcount(value)), whose lower cube has
+  // the cube's own value and whose partner is value | b.  Buckets run in
+  // (care, popcount) order, lower cubes in ascending value, partners in
+  // ascending variable.  Every lifted prime has F != 0, so b exists.
+  const auto key = [all](const Cube& c) {
+    const std::uint64_t free = all & ~c.careMask();
+    const std::uint64_t b = std::uint64_t{1} << std::countr_zero(free);
+    return std::tuple(std::popcount(free), c.careMask() | b,
+                      std::popcount(c.valueMask()), c.valueMask(), b);
+  };
+  std::sort(primes.begin(), primes.end(),
+            [&key](const Cube& a, const Cube& b) { return key(a) < key(b); });
   return primes;
 }
 
@@ -418,7 +484,10 @@ Cover minimizeUncached(const TruthTable& tt) {
   // QM's cost is driven by the onset+dc minterm count; when don't-cares
   // dominate (e.g. sparse one-hot encodings) the heuristic is far cheaper
   // and loses almost nothing.
-  const std::uint64_t careOnPlusDc = tt.numRows() - tt.offset().size();
+  std::uint64_t careOnPlusDc = 0;
+  for (std::uint64_t r = 0; r < tt.numRows(); ++r) {
+    careOnPlusDc += tt.get(r) != Ternary::Zero;
+  }
   return careOnPlusDc <= 4096 ? minimizeExact(tt) : expand();
 }
 

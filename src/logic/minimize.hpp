@@ -19,8 +19,13 @@ namespace tauhls::logic {
 /// Quine-McCluskey prime implicants of (onset + dcset).  Fast path: one
 /// stable sort recovers the bucket order and merge partners are hash
 /// lookups (flip one clear care bit), replacing the reference's per-level
-/// map-of-buckets and all-pairs merge scans.  Emits the same primes in the
-/// same order as primeImplicantsReference.
+/// map-of-buckets and all-pairs merge scans.  A table that leaves some
+/// variables unread (flipping one never changes a row, don't-cares
+/// included) is first projected onto its support: QM runs on the smaller
+/// table and each prime is lifted back with the unread variables free, then
+/// sorted into QM's emission order by (popcount(F), care | b,
+/// popcount(value), value, b) -- F the free mask, b its lowest bit.  Emits
+/// the same primes in the same order as primeImplicantsReference.
 std::vector<Cube> primeImplicants(const TruthTable& tt);
 
 /// The original map-and-scan QM prime generation.  Kept callable for

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <numeric>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "logic/cover.hpp"
@@ -297,6 +302,109 @@ TEST_P(MinimizerImplIdentity, DispatchIsImplIndependent) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MinimizerImplIdentity,
                          ::testing::Range<std::uint64_t>(1, 21));
+
+/// A "planted support" table over n variables: a random ternary function of
+/// k randomly placed variables, so the other n - k are unread.  Each row of
+/// the planted function is nonzero with a probability that keeps the
+/// table's onset + dc near 2048 rows at most, which bounds the reference
+/// QM's all-pairs merge scans at 14 variables.
+TruthTable plantedTable(int n, int k, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<int> vars(static_cast<std::size_t>(n));
+  std::iota(vars.begin(), vars.end(), 0);
+  std::shuffle(vars.begin(), vars.end(), rng);
+  vars.resize(static_cast<std::size_t>(k));
+  const double nonzero = std::min(0.6, 2048.0 / std::ldexp(1.0, n));
+  std::vector<Ternary> g(std::size_t{1} << k);
+  for (Ternary& t : g) {
+    const double roll = std::uniform_real_distribution<double>(0, 1)(rng);
+    t = roll >= nonzero           ? Ternary::Zero
+        : roll < nonzero * 0.6    ? Ternary::One
+                                  : Ternary::DontCare;
+  }
+  TruthTable tt(n);
+  for (std::uint64_t r = 0; r < tt.numRows(); ++r) {
+    std::size_t sub = 0;
+    for (int i = 0; i < k; ++i) {
+      sub |= static_cast<std::size_t>((r >> vars[static_cast<std::size_t>(i)]) & 1) << i;
+    }
+    tt.set(r, g[sub]);
+  }
+  return tt;
+}
+
+void expectSameCubes(const Cover& fast, const Cover& ref) {
+  ASSERT_EQ(fast.numCubes(), ref.numCubes());
+  for (std::size_t i = 0; i < fast.numCubes(); ++i) {
+    EXPECT_EQ(fast.cubes()[i], ref.cubes()[i]) << "cube " << i << " diverges";
+  }
+}
+
+/// Fast vs Reference on one table: primes element by element and in order,
+/// then the dispatched covers (exact QM for every table here with at most
+/// 4096 onset + dc rows).
+void expectFastMatchesReference(const TruthTable& tt) {
+  const auto fast = primeImplicants(tt);
+  const auto ref = primeImplicantsReference(tt);
+  ASSERT_EQ(fast.size(), ref.size());
+  for (std::size_t i = 0; i < fast.size(); ++i) {
+    EXPECT_EQ(fast[i], ref[i]) << "prime " << i << " diverges";
+  }
+  setMinimizerImpl(MinimizerImpl::Reference);
+  const Cover refCover = minimize(tt);
+  setMinimizerImpl(MinimizerImpl::Fast);
+  expectSameCubes(minimize(tt), refCover);
+}
+
+class PlantedSupport : public ::testing::TestWithParam<int> {};
+
+// randomTable almost never leaves a variable unread, so these tables are
+// the ones that take the Fast QM's support projection -- every support
+// size k from the constant function (k = 0) to full support (k = n).
+TEST_P(PlantedSupport, FastMatchesReferenceForEverySupportSize) {
+  const int n = GetParam();
+  for (int k = 0; k <= n; ++k) {
+    SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k));
+    expectFastMatchesReference(
+        plantedTable(n, k, static_cast<std::uint64_t>(n * 31 + k)));
+  }
+}
+
+// Constant, all-don't-care and empty-onset tables read no variable.  The
+// reference's all-pairs scans explode on a full onset, so it is the oracle
+// only up to 8 variables; beyond that the expected primes are written out.
+TEST_P(PlantedSupport, UnreadTablesGiveTheFullCubeOrNothing) {
+  const int n = GetParam();
+  for (const Ternary fill : {Ternary::One, Ternary::DontCare, Ternary::Zero}) {
+    SCOPED_TRACE("n=" + std::to_string(n) +
+                 " fill=" + std::to_string(static_cast<int>(fill)));
+    TruthTable tt(n);
+    for (std::uint64_t r = 0; r < tt.numRows(); ++r) tt.set(r, fill);
+    const auto primes = primeImplicants(tt);
+    if (fill == Ternary::Zero) {
+      EXPECT_TRUE(primes.empty());
+    } else {
+      ASSERT_EQ(primes.size(), 1u);
+      EXPECT_EQ(primes[0], Cube::full(n));
+    }
+    if (n <= 8) expectFastMatchesReference(tt);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Vars, PlantedSupport, ::testing::Range(2, 15));
+
+// Above 14 variables minimize() takes the expand path, which projects
+// nothing: a wide planted-support table gives the reference expand's cover
+// under either implementation.
+TEST(PlantedSupport, WideTableTakesTheUnchangedExpandPath) {
+  const TruthTable tt = plantedTable(16, 8, 1616);
+  const Cover ref = minimizeExpandReference(tt);
+  setMinimizerImpl(MinimizerImpl::Reference);
+  expectSameCubes(minimize(tt), ref);
+  setMinimizerImpl(MinimizerImpl::Fast);
+  expectSameCubes(minimize(tt), ref);
+  expectSameCubes(minimizeExpand(tt), ref);
+}
 
 }  // namespace
 }  // namespace tauhls::logic

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 #include "dfg/benchmarks.hpp"
 #include "fsm/cent_sync.hpp"
@@ -104,34 +106,35 @@ TEST(Extract, DistributedControllersSynthesize) {
 
 // The Fast regime compiles guards to bitmask terms for the truth-table row
 // sweep (and runs the fast minimizer); the Reference regime steps the FSM
-// row by row.  Both must extract identical covers on real controllers,
+// row by row.  Both must extract identical covers on every Table 2
+// controller -- including the 11-variable 3rd-IIR and AR-lattice ones --
 // under both encodings.
 TEST(Extract, FastAndReferenceRegimesExtractIdenticalLogic) {
-  auto sdfg = sched::scheduleAndBind(dfg::diffeq(),
-                                     Allocation{{ResourceClass::Multiplier, 2},
-                                                {ResourceClass::Adder, 1},
-                                                {ResourceClass::Subtractor, 1}},
-                                     tau::paperLibrary());
-  fsm::DistributedControlUnit dcu = fsm::buildDistributed(sdfg);
-  for (const fsm::UnitController& c : dcu.controllers) {
-    for (const EncodingStyle style :
-         {EncodingStyle::Binary, EncodingStyle::OneHot}) {
-      logic::setMinimizerImpl(logic::MinimizerImpl::Reference);
-      const SynthesizedFsm ref = synthesize(c.fsm, style);
-      logic::setMinimizerImpl(logic::MinimizerImpl::Fast);
-      const SynthesizedFsm fast = synthesize(c.fsm, style);
-      ASSERT_EQ(fast.nextStateLogic.size(), ref.nextStateLogic.size());
-      for (std::size_t i = 0; i < fast.nextStateLogic.size(); ++i) {
-        EXPECT_EQ(fast.nextStateLogic[i].cubes(),
-                  ref.nextStateLogic[i].cubes())
-            << c.fsm.name() << " ns" << i;
+  for (const dfg::NamedBenchmark& b : dfg::paperTable2Suite()) {
+    const sched::ScheduledDfg sdfg =
+        sched::scheduleAndBind(b.graph, b.allocation, tau::paperLibrary());
+    const fsm::DistributedControlUnit dcu = fsm::buildDistributed(sdfg);
+    for (const fsm::UnitController& c : dcu.controllers) {
+      for (const EncodingStyle style :
+           {EncodingStyle::Binary, EncodingStyle::OneHot}) {
+        logic::setMinimizerImpl(logic::MinimizerImpl::Reference);
+        const SynthesizedFsm ref = synthesize(c.fsm, style);
+        logic::setMinimizerImpl(logic::MinimizerImpl::Fast);
+        const SynthesizedFsm fast = synthesize(c.fsm, style);
+        const std::string where = b.name + " " + c.fsm.name();
+        ASSERT_EQ(fast.nextStateLogic.size(), ref.nextStateLogic.size());
+        for (std::size_t i = 0; i < fast.nextStateLogic.size(); ++i) {
+          EXPECT_EQ(fast.nextStateLogic[i].cubes(),
+                    ref.nextStateLogic[i].cubes())
+              << where << " ns" << i;
+        }
+        ASSERT_EQ(fast.outputLogic.size(), ref.outputLogic.size());
+        for (std::size_t i = 0; i < fast.outputLogic.size(); ++i) {
+          EXPECT_EQ(fast.outputLogic[i].cubes(), ref.outputLogic[i].cubes())
+              << where << " out" << i;
+        }
+        EXPECT_EQ(fast.totalLiterals(), ref.totalLiterals()) << where;
       }
-      ASSERT_EQ(fast.outputLogic.size(), ref.outputLogic.size());
-      for (std::size_t i = 0; i < fast.outputLogic.size(); ++i) {
-        EXPECT_EQ(fast.outputLogic[i].cubes(), ref.outputLogic[i].cubes())
-            << c.fsm.name() << " out" << i;
-      }
-      EXPECT_EQ(fast.totalLiterals(), ref.totalLiterals());
     }
   }
 }
