@@ -198,6 +198,10 @@ void BM_FsmInterpreter(benchmark::State& state) {
 }
 BENCHMARK(BM_FsmInterpreter);
 
+// After its first iteration this times a synthesis-cache hit (structural
+// key, lookup and copy), which is what every repeat consumer of a
+// controller pays.  Cold synthesis is timed by BM_QmMinimize* here and by
+// perfbench's synth.ms / synth.max_controller_ms layers.
 void BM_SynthesizeCentSync(benchmark::State& state) {
   const auto s = diffeqScheduled();
   const auto sync = fsm::buildCentSync(s);

@@ -49,15 +49,18 @@ Cover minimizeExpandReference(const TruthTable& tt);
 
 /// Which implementations minimize()/minimizeExact() dispatch to: Fast (the
 /// bit-parallel expand and sort+hash QM above) or Reference (the original
-/// scalar scans).  synth::synthesize keys its truth-table row sweep off the
-/// same hook (compiled bitmask guards vs per-row Fsm::step).  Results are
+/// scalar scans).  synth::synthesize keys its truth-table row sweep and its
+/// synthesis cache off the same hook (compiled bitmask guards and cached,
+/// deduplicated tables vs per-row Fsm::step, uncached).  Results are
 /// identical either way; a bench/test hook (bench/kernel_speed.cpp times
 /// the equivalence suite under both regimes).
 enum class MinimizerImpl { Fast, Reference };
 void setMinimizerImpl(MinimizerImpl impl);
 MinimizerImpl minimizerImpl();
 
-/// Dispatch: exact up to 14 variables, expand beyond.
+/// Dispatch: exact up to 14 variables (and at most 4096 onset + dc rows),
+/// expand beyond.  A pure function of the table: reuse across calls lives a
+/// level up, in synth::synthesize's per-controller cache.
 Cover minimize(const TruthTable& tt);
 
 /// True when `cover` is 1 on every onset row and 0 on every offset row of

@@ -1,14 +1,19 @@
 #include "synth/encoding.hpp"
 
+#include <bit>
+
 #include "common/error.hpp"
 
 namespace tauhls::synth {
 
 int Encoding::stateOf(std::uint32_t code) const {
-  for (std::size_t s = 0; s < codeOf.size(); ++s) {
-    if (codeOf[s] == code) return static_cast<int>(s);
+  const std::size_t states = codeOf.size();
+  if (style == EncodingStyle::Binary) {
+    return code < states ? static_cast<int>(code) : -1;
   }
-  return -1;
+  if (!std::has_single_bit(code)) return -1;
+  const auto s = static_cast<std::size_t>(std::countr_zero(code));
+  return s < states ? static_cast<int>(s) : -1;
 }
 
 Encoding encodeStates(const fsm::Fsm& fsm, EncodingStyle style) {

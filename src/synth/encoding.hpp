@@ -19,6 +19,9 @@ struct Encoding {
   std::vector<std::uint32_t> codeOf;   ///< per state id
 
   /// State id for `code`; -1 when the code is unused (a don't-care row).
+  /// Decodes directly from the code assignment encodeStates makes (binary:
+  /// code == state id; one-hot: the single set bit), so the 2^n-row
+  /// extraction sweep pays O(1) per row instead of a scan over every code.
   int stateOf(std::uint32_t code) const;
 };
 

@@ -36,6 +36,22 @@ struct SynthesizedFsm {
 std::vector<bool> reachableStates(const fsm::Fsm& fsm);
 
 /// Synthesize `fsm` (which must be valid: deterministic and complete).
+///
+/// Each distinct controller is synthesized once per process.  Results are
+/// cached by a 128-bit structural key over everything the covers depend on
+/// and no name: the encoding, the state count, the initial state, the input
+/// and output counts, and per transition its endpoints, its guard terms as
+/// (input index, polarity) and its output indices.  Machines that differ
+/// only in machine, state or signal names share one entry; the caller's FSM
+/// name is stamped on the returned copy.  The cache is single-flight: the
+/// first caller for a key computes, concurrent callers for that key wait for
+/// its result.  Errors are not cached: waiters on a synthesis that throws
+/// recompute and throw with their own FSM's name, and a later call
+/// recomputes.  The cache is cleared when it reaches a fixed entry cap.
+/// Within one call, next-state and output functions with identical truth
+/// tables (e.g. RE_i and CCO_i) are minimized once.
+/// MinimizerImpl::Reference bypasses the cache and the in-call reuse, so
+/// the kernel benchmark's naive regime pays the full per-call cost.
 SynthesizedFsm synthesize(const fsm::Fsm& fsm,
                           EncodingStyle style = EncodingStyle::Binary);
 

@@ -8,7 +8,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "netlist/build.hpp"
+#include "common/error.hpp"
 
 namespace tauhls::verify {
 
@@ -470,15 +470,16 @@ bool functionallyDepends(const netlist::Netlist& net, netlist::NetId target,
 }  // namespace
 
 void checkControlLoops(const fsm::DistributedControlUnit& dcu,
+                       const std::vector<netlist::ControllerNetlist>& netlists,
                        const std::string& name, Report& report) {
+  TAUHLS_CHECK(netlists.size() == dcu.controllers.size(),
+               "one netlist per controller expected");
   const std::string artifact = "controllers " + name;
 
   // Dependence edges CCO_a -> CCO_b: the controller producing b combinationally
   // reads a in b's output function (through the latch's live-pulse bypass).
   std::map<std::string, std::set<std::string>> deps;
-  for (const fsm::UnitController& ctl : dcu.controllers) {
-    const netlist::ControllerNetlist cn =
-        netlist::buildControllerNetlist(ctl.fsm);
+  for (const netlist::ControllerNetlist& cn : netlists) {
     for (const auto& [outName, outNet] : cn.net.outputs()) {
       if (!dcu.producerOf.contains(outName)) continue;  // not a CCO wire
       const std::set<std::string> support =

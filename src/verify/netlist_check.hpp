@@ -20,8 +20,8 @@
 //                    completion latch; a structural scan of the emitted top
 //                    would flag a false loop through every CCO wire.  The true
 //                    criterion is functional: CCO_b may not functionally
-//                    depend on CCO_a around a cycle.  Each controller is
-//                    synthesized (netlist::buildControllerNetlist) and the
+//                    depend on CCO_a around a cycle.  Over each controller's
+//                    netlist (netlist::buildControllerNetlist) the
 //                    functional support of every CCO output is computed by
 //                    cofactor comparison over the structural support; only a
 //                    cycle in that dependence graph is a real oscillation
@@ -29,8 +29,10 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "fsm/distributed.hpp"
+#include "netlist/build.hpp"
 #include "netlist/netlist.hpp"
 #include "verify/diagnostic.hpp"
 #include "vsim/ast.hpp"
@@ -43,9 +45,12 @@ void lintNetlist(const netlist::Netlist& net, Report& report);
 /// Parse-level checks over every module of an emitted design (NET001-NET008).
 void lintRtl(const vsim::Design& design, Report& report);
 
-/// Functional cross-controller combinational-loop check (NET001).  `name`
-/// labels the diagnostics (typically the graph name).
+/// Functional cross-controller combinational-loop check (NET001) over
+/// `netlists`, the controller netlists of `dcu` in controller order (built
+/// once by the caller, who also lints them).  `name` labels the diagnostics
+/// (typically the graph name).
 void checkControlLoops(const fsm::DistributedControlUnit& dcu,
+                       const std::vector<netlist::ControllerNetlist>& netlists,
                        const std::string& name, Report& report);
 
 }  // namespace tauhls::verify

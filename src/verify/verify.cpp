@@ -1,5 +1,7 @@
 #include "verify/verify.hpp"
 
+#include <vector>
+
 #include "netlist/build.hpp"
 #include "rtl/verilog.hpp"
 #include "verify/dfg_lint.hpp"
@@ -35,10 +37,12 @@ Report verifyFlow(const sched::ScheduledDfg& s,
   }
 
   if (options.checkNetlists) {
+    std::vector<netlist::ControllerNetlist> netlists;
     for (const fsm::UnitController& ctl : dcu.controllers) {
-      lintNetlist(netlist::buildControllerNetlist(ctl.fsm).net, report);
+      netlists.push_back(netlist::buildControllerNetlist(ctl.fsm));
+      lintNetlist(netlists.back().net, report);
     }
-    checkControlLoops(dcu, s.graph.name(), report);
+    checkControlLoops(dcu, netlists, s.graph.name(), report);
   }
 
   if (options.checkRtl) {

@@ -288,7 +288,7 @@ TEST_P(MinimizerImplIdentity, DispatchIsImplIndependent) {
   const Cover ref = minimize(tt);
   setMinimizerImpl(MinimizerImpl::Fast);
   const Cover cold = minimize(tt);
-  const Cover warm = minimize(tt);  // memo replay
+  const Cover warm = minimize(tt);  // a second call: determinism only
   EXPECT_EQ(minimizerImpl(), MinimizerImpl::Fast);
   ASSERT_EQ(cold.numCubes(), ref.numCubes());
   for (std::size_t i = 0; i < cold.numCubes(); ++i) {

@@ -21,6 +21,7 @@
 #include "fsm/distributed.hpp"
 #include "fsm/signal.hpp"
 #include "fsm/signal_opt.hpp"
+#include "netlist/build.hpp"
 #include "netlist/netlist.hpp"
 #include "rtl/verilog.hpp"
 #include "sched/scheduled_dfg.hpp"
@@ -534,8 +535,12 @@ TEST(NetlistLint, DeadGateAndUnusedInput) {
 TEST(NetlistLint, ControllerNetlistsAreClean) {
   const fsm::DistributedControlUnit dcu =
       fsm::optimizeSignals(fsm::buildDistributed(fig2Scheduled()));
+  std::vector<netlist::ControllerNetlist> netlists;
+  for (const fsm::UnitController& ctl : dcu.controllers) {
+    netlists.push_back(netlist::buildControllerNetlist(ctl.fsm));
+  }
   Report report;
-  checkControlLoops(dcu, "fig2", report);
+  checkControlLoops(dcu, netlists, "fig2", report);
   EXPECT_FALSE(report.has("NET001")) << renderText(report);
 }
 
