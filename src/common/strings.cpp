@@ -1,6 +1,7 @@
 #include "common/strings.hpp"
 
 #include <cctype>
+#include <cstdio>
 #include <sstream>
 
 namespace tauhls {
@@ -44,6 +45,30 @@ bool isIdentifier(const std::string& s) {
     if (!(std::isalnum(static_cast<unsigned char>(c)) || c == '_')) return false;
   }
   return true;
+}
+
+std::string jsonEscape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned char>(c));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
 }
 
 std::string zeroPad(unsigned value, int width) {

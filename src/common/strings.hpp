@@ -18,6 +18,10 @@ std::vector<std::string> split(const std::string& s, char sep, bool keepEmpty = 
 /// True when `s` is a valid C-style identifier (letter/underscore start).
 bool isIdentifier(const std::string& s);
 
+/// Escape `s` for embedding in a JSON string literal: quotes, backslashes,
+/// \n \r \t, and every other control character as \u00XX.
+std::string jsonEscape(const std::string& s);
+
 /// printf-style "%d"-free integer-to-string with fixed-width zero padding.
 std::string zeroPad(unsigned value, int width);
 

@@ -1,35 +1,10 @@
 #include "core/json.hpp"
 
-#include <iomanip>
 #include <sstream>
 
 #include "core/report.hpp"
 
 namespace tauhls::core {
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          std::ostringstream os;
-          os << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-             << static_cast<int>(c);
-          out += os.str();
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 namespace {
 

@@ -5,6 +5,7 @@
 
 #include <string>
 
+#include "common/strings.hpp"
 #include "core/flow.hpp"
 
 namespace tauhls::core {
@@ -14,8 +15,8 @@ namespace tauhls::core {
 /// stats and controller inventory.
 std::string toJson(const FlowResult& result);
 
-/// Escape a string for embedding in JSON (quotes, backslashes, control
-/// characters); exposed for tests.
-std::string jsonEscape(const std::string& s);
+/// The JSON string escaper of common/strings.hpp, also callable as
+/// core::jsonEscape.
+using tauhls::jsonEscape;
 
 }  // namespace tauhls::core

@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
+#include "common/strings.hpp"
 #include "core/fingerprint.hpp"
 #include "core/serialize.hpp"
 #include "core/store.hpp"
@@ -611,7 +612,8 @@ std::string traceToChromeJson(const std::vector<TracedRun>& runs) {
     const std::size_t pid = r + 1;
     comma();
     os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-       << ",\"tid\":0,\"args\":{\"name\":\"" << runs[r].name << "\"}}";
+       << ",\"tid\":0,\"args\":{\"name\":\"" << jsonEscape(runs[r].name)
+       << "\"}}";
     for (const PassTraceEvent& ev : runs[r].events) {
       comma();
       os << "{\"name\":\"" << ev.pass << "\",\"cat\":\"pass\",\"ph\":\"X\""

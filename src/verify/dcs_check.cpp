@@ -9,87 +9,46 @@
 
 #include "aig/aig.hpp"
 #include "aig/cec.hpp"
-#include "aig/sat.hpp"
 #include "aig/unroll.hpp"
 #include "common/parallel.hpp"
 #include "synth/extract.hpp"
+#include "verify/induction.hpp"
 #include "verify/lowering.hpp"
-#include "verify/symbolic_check.hpp"
 
 namespace tauhls::verify {
 
 namespace {
 
-using aig::Aig;
 using aig::Lit;
 using lowering::ControllerContext;
 using lowering::describeCounterexample;
 using lowering::FnMap;
 
-RuleCost costOf(const aig::SatStats& s) {
-  RuleCost c;
-  c.decisions = s.decisions;
-  c.propagations = s.propagations;
-  c.conflicts = s.conflicts;
-  c.learned = s.learned;
-  c.restarts = s.restarts;
-  c.queries = 1;
-  return c;
+/// The state a counterexample frame decodes to ("<code n>" off the encoding).
+std::string stateAt(const ControllerContext& ctx, const FrameEval& eval,
+                    int frame) {
+  std::uint32_t code = 0;
+  for (std::size_t b = 0; b < ctx.stateBits.size(); ++b) {
+    if (eval(frame, ctx.stateBits[b])) code |= std::uint32_t{1} << b;
+  }
+  const int s = ctx.enc.stateOf(code);
+  if (s >= 0) return ctx.fsm->stateName(s);
+  return "<code " + std::to_string(code) + ">";
 }
 
-/// Frame-by-frame decoding of a DCS002 BMC model back to state and input
-/// names (the symbolic_check.cpp TraceDecoder idiom over the controller
-/// context's smaller graph).
-class DcsTrace {
- public:
-  DcsTrace(ControllerContext& ctx, aig::Unroller& unroller,
-           const aig::CnfEncoder& enc, const aig::SatSolver& solver)
-      : ctx_(ctx), unroller_(unroller) {
-    vals_.assign(ctx.g.numInputs(), false);
-    for (std::size_t i = 0; i < ctx.g.numInputs(); ++i) {
-      const std::uint32_t node =
-          aig::nodeOf(ctx.g.findInput(ctx.g.inputNames()[i]));
-      const int var = enc.varIfEncoded(node);
-      if (var != 0) vals_[i] = solver.modelValue(var);
+/// "\n  cycle f: state=Sx in1=0 ..." rows of frames 0..depth; the final
+/// frame lands on the don't-care row.
+std::string waveform(const ControllerContext& ctx, const FrameEval& eval,
+                     int depth) {
+  std::ostringstream os;
+  for (int f = 0; f <= depth; ++f) {
+    os << "\n  cycle " << f << ": state=" << stateAt(ctx, eval, f);
+    for (const std::string& in : ctx.fsm->inputs()) {
+      os << " " << in << "=" << (eval(f, ctx.inputOf.at(in)) ? "1" : "0");
     }
   }
-
-  bool eval(int frame, Lit templateLit) {
-    const Lit l = unroller_.at(frame, templateLit);
-    if (ctx_.g.numInputs() > vals_.size()) {
-      vals_.resize(ctx_.g.numInputs(), false);  // unconstrained: pick 0
-    }
-    return ctx_.g.evaluate(l, vals_);
-  }
-
-  /// "\n  cycle f: state=Sx in1=0 ..." rows of frames 0..depth; the final
-  /// frame lands on the don't-care row.
-  std::string waveform(int depth) {
-    std::ostringstream os;
-    for (int f = 0; f <= depth; ++f) {
-      os << "\n  cycle " << f << ": state=" << stateAt(f);
-      for (const std::string& in : ctx_.fsm->inputs()) {
-        os << " " << in << "=" << (eval(f, ctx_.inputOf.at(in)) ? "1" : "0");
-      }
-    }
-    return os.str();
-  }
-
-  std::string stateAt(int frame) {
-    std::uint32_t code = 0;
-    for (std::size_t b = 0; b < ctx_.stateBits.size(); ++b) {
-      if (eval(frame, ctx_.stateBits[b])) code |= std::uint32_t{1} << b;
-    }
-    const int s = ctx_.enc.stateOf(code);
-    if (s >= 0) return ctx_.fsm->stateName(s);
-    return "<code " + std::to_string(code) + ">";
-  }
-
- private:
-  ControllerContext& ctx_;
-  aig::Unroller& unroller_;
-  std::vector<bool> vals_;
-};
+  return os.str();
+}
 
 }  // namespace
 
@@ -122,7 +81,9 @@ DcsStats checkDcsFsm(const fsm::Fsm& fsm, const std::string& artifact,
   std::size_t careStates = 0;
   for (std::size_t s = 0; s < fsm.numStates(); ++s) {
     if (!reachable[s]) continue;
-    careLit = ctx.g.orLit(careLit, ctx.stateMatch(static_cast<int>(s)));
+    careLit = ctx.g.orLit(
+        careLit, lowering::stateMatch(ctx.g, ctx.enc, ctx.stateBits,
+                                      static_cast<int>(s)));
     ++careStates;
   }
 
@@ -148,7 +109,7 @@ DcsStats checkDcsFsm(const fsm::Fsm& fsm, const std::string& artifact,
   for (std::size_t i = 0; i < spec.size(); ++i) {
     const aig::CecResult r = aig::proveEquivalent(
         ctx.g, spec[i].second, cover[i].second, careLit, options.maxConflicts);
-    careRow.cost += costOf(r.stats);
+    careRow.cost += satQueryCost(r.stats);
     if (r.status == aig::SatResult::Unsat) {
       careEqual[i] = true;
     } else if (r.status == aig::SatResult::Sat) {
@@ -168,7 +129,7 @@ DcsStats checkDcsFsm(const fsm::Fsm& fsm, const std::string& artifact,
     const aig::CecResult g = aig::proveEquivalent(
         ctx.g, spec[i].second, cover[i].second, aig::kLitTrue,
         options.maxConflicts);
-    dcRow.cost += costOf(g.stats);
+    dcRow.cost += satQueryCost(g.stats);
     if (careEqual[i] && g.status == aig::SatResult::Sat) ++stats.dcFunctions;
   }
   stats.properties.push_back(careRow);
@@ -182,7 +143,6 @@ DcsStats checkDcsFsm(const fsm::Fsm& fsm, const std::string& artifact,
   XpropPropertyStat reachRow;
   reachRow.artifact = artifact;
   reachRow.rule = "DCS002";
-  reachRow.verdict = propertyVerdictName(PropertyVerdict::Unknown);
   aig::SeqModel seq;
   const std::uint32_t initCode =
       ctx.enc.codeOf[static_cast<std::size_t>(fsm.initial())];
@@ -190,54 +150,27 @@ DcsStats checkDcsFsm(const fsm::Fsm& fsm, const std::string& artifact,
     seq.vars.push_back({"state" + std::to_string(b), ctx.stateBits[b],
                         cover[b].second, ((initCode >> b) & 1u) != 0});
   }
-  const Lit bad = aig::negate(careLit);
-
-  aig::SatSolver solver;
-  aig::CnfEncoder enc(ctx.g, solver);
-  aig::Unroller bmc(ctx.g, seq, "b", true);
-  aig::Unroller ind(ctx.g, seq, "i", false);
-  for (int depth = 0; depth <= options.maxDepth; ++depth) {
-    aig::SatStats before = solver.stats();
-    const int badLit = enc.encode(bmc.at(depth, bad));
-    const aig::SatResult res =
-        solver.solve(std::vector<int>{badLit}, options.maxConflicts);
-    reachRow.cost += costOf(solver.stats() - before);
-    if (res == aig::SatResult::Sat) {
-      reachRow.verdict = propertyVerdictName(PropertyVerdict::Counterexample);
-      reachRow.cexCycle = depth;
-      DcsTrace trace(ctx, bmc, enc, solver);
-      report.add("DCS002", artifact, trace.stateAt(depth),
-                 "the implemented next-state covers reach a don't-care row "
-                 "after " +
-                     std::to_string(depth) +
-                     " cycle(s) -- a row the minimizer assumed impossible "
-                     "(care set: " +
-                     std::to_string(careStates) + " of " +
-                     std::to_string(fsm.numStates()) + " states):" +
-                     trace.waveform(depth));
-      break;
-    }
-    if (res == aig::SatResult::Unknown) break;
-    solver.addClause({-badLit});
-
-    // Induction step at k = depth + 1: care at frames 0..depth forces care
-    // at frame depth+1.  With the BMC prefix above, Unsat proves the
-    // don't-care rows unreachable at every depth.
-    const int k = depth + 1;
-    std::vector<int> assumptions;
-    before = solver.stats();
-    for (int f = 0; f < k; ++f) {
-      assumptions.push_back(enc.encode(ind.at(f, careLit)));
-    }
-    assumptions.push_back(enc.encode(ind.at(k, bad)));
-    const aig::SatResult step = solver.solve(assumptions, options.maxConflicts);
-    reachRow.cost += costOf(solver.stats() - before);
-    if (step == aig::SatResult::Unsat) {
-      reachRow.verdict = propertyVerdictName(PropertyVerdict::Proved);
-      reachRow.depth = k;
-      break;
-    }
+  const InductionRun run = proveSafety(
+      ctx.g, seq, {aig::negate(careLit)}, aig::kLitTrue,
+      options.maxDepth, options.maxConflicts,
+      [&](std::size_t, int depth, const FrameEval& eval) {
+        report.add("DCS002", artifact, stateAt(ctx, eval, depth),
+                   "the implemented next-state covers reach a don't-care row "
+                   "after " +
+                       std::to_string(depth) +
+                       " cycle(s) -- a row the minimizer assumed impossible "
+                       "(care set: " +
+                       std::to_string(careStates) + " of " +
+                       std::to_string(fsm.numStates()) + " states):" +
+                       waveform(ctx, eval, depth));
+      });
+  const InductionResult& reach = run.properties.front();
+  reachRow.verdict = propertyVerdictName(reach.verdict);
+  if (reach.verdict == PropertyVerdict::Proved) {
+    reachRow.depth = reach.inductionK;
   }
+  reachRow.cexCycle = reach.cexDepth;
+  reachRow.cost = reach.cost;
   stats.properties.push_back(reachRow);
 
   // DCS003: info summary -- and the certification statement when everything

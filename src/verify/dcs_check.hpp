@@ -15,8 +15,8 @@
 //           *implemented* next-state covers: BMC from the encoded initial
 //           state finds a concrete input sequence driving the registers
 //           onto a row the minimizer assumed impossible, or k-induction
-//           proves no such sequence exists (the symbolic-reachability
-//           engine of aig/unroll.hpp).  When DCS001 holds, the care set is
+//           proves no such sequence exists (the BMC + k-induction engine
+//           of verify/induction.hpp).  When DCS001 holds, the care set is
 //           inductive and the proof closes at k = 1.
 //   DCS003  info summary counting the functions whose cover actually
 //           exploits don't-cares (differ globally, agree on the care set).

@@ -1,11 +1,12 @@
 #include "verify/diagnostic.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <sstream>
 
+#include "aig/sat.hpp"
 #include "common/error.hpp"
+#include "common/strings.hpp"
 
 namespace tauhls::verify {
 
@@ -221,31 +222,16 @@ std::string renderText(const Report& report) {
   return os.str();
 }
 
-namespace {
-
-std::string jsonQuote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
+RuleCost satQueryCost(const aig::SatStats& s) {
+  RuleCost c;
+  c.decisions = s.decisions;
+  c.propagations = s.propagations;
+  c.conflicts = s.conflicts;
+  c.learned = s.learned;
+  c.restarts = s.restarts;
+  c.queries = 1;
+  return c;
 }
-
-}  // namespace
 
 std::string renderJson(const Report& report) {
   return renderJson(report, JsonSections{});
@@ -275,10 +261,10 @@ std::string renderJson(const Report& report, const JsonSections& sections) {
   for (const Diagnostic& d : report.diagnostics()) {
     if (!first) os << ",";
     first = false;
-    os << "{\"code\":" << jsonQuote(d.code) << ",\"severity\":"
-       << jsonQuote(severityName(d.severity)) << ",\"artifact\":"
-       << jsonQuote(d.artifact) << ",\"where\":" << jsonQuote(d.where)
-       << ",\"message\":" << jsonQuote(d.message) << "}";
+    os << "{\"code\":\"" << jsonEscape(d.code) << "\",\"severity\":\""
+       << jsonEscape(severityName(d.severity)) << "\",\"artifact\":\""
+       << jsonEscape(d.artifact) << "\",\"where\":\"" << jsonEscape(d.where)
+       << "\",\"message\":\"" << jsonEscape(d.message) << "\"}";
   }
   // Per-rule counts keyed by code, sorted, so CI artifacts diff cleanly
   // across runs and PRs.
@@ -289,14 +275,14 @@ std::string renderJson(const Report& report, const JsonSections& sections) {
   for (const auto& [code, n] : byRule) {
     if (!first) os << ",";
     first = false;
-    os << jsonQuote(code) << ":" << n;
+    os << '"' << jsonEscape(code) << "\":" << n;
   }
   os << "},\"satCost\":{";
   first = true;
   for (const auto& [code, cost] : satCost) {
     if (!first) os << ",";
     first = false;
-    os << jsonQuote(code) << ":{\"queries\":" << cost.queries
+    os << '"' << jsonEscape(code) << "\":{\"queries\":" << cost.queries
        << ",\"simDischarged\":" << cost.simDischarged
        << ",\"decisions\":" << cost.decisions
        << ",\"propagations\":" << cost.propagations
@@ -311,10 +297,10 @@ std::string renderJson(const Report& report, const JsonSections& sections) {
   for (const SymbolicPropertyStat& p : symbolic) {
     if (!first) os << ",";
     first = false;
-    os << "{\"artifact\":" << jsonQuote(p.artifact)
-       << ",\"rule\":" << jsonQuote(p.rule)
-       << ",\"verdict\":" << jsonQuote(p.verdict)
-       << ",\"depthReached\":" << p.depthReached
+    os << "{\"artifact\":\"" << jsonEscape(p.artifact)
+       << "\",\"rule\":\"" << jsonEscape(p.rule)
+       << "\",\"verdict\":\"" << jsonEscape(p.verdict)
+       << "\",\"depthReached\":" << p.depthReached
        << ",\"inductionK\":" << p.inductionK
        << ",\"conflicts\":" << p.cost.conflicts
        << ",\"propagations\":" << p.cost.propagations
@@ -328,9 +314,10 @@ std::string renderJson(const Report& report, const JsonSections& sections) {
   for (const XpropPropertyStat& p : sections.xprop) {
     if (!first) os << ",";
     first = false;
-    os << "{\"artifact\":" << jsonQuote(p.artifact)
-       << ",\"rule\":" << jsonQuote(p.rule)
-       << ",\"verdict\":" << jsonQuote(p.verdict) << ",\"depth\":" << p.depth
+    os << "{\"artifact\":\"" << jsonEscape(p.artifact)
+       << "\",\"rule\":\"" << jsonEscape(p.rule)
+       << "\",\"verdict\":\"" << jsonEscape(p.verdict)
+       << "\",\"depth\":" << p.depth
        << ",\"cexCycle\":" << p.cexCycle << ",\"instances\":" << p.instances
        << ",\"gateEvals\":" << p.gateEvals
        << ",\"conflicts\":" << p.cost.conflicts
@@ -344,7 +331,7 @@ std::string renderJson(const Report& report, const JsonSections& sections) {
   for (const std::string& code : skipped) {
     if (!first) os << ",";
     first = false;
-    os << jsonQuote(code);
+    os << '"' << jsonEscape(code) << '"';
   }
   os << "],\"errors\":" << report.errorCount()
      << ",\"warnings\":" << report.count(Severity::Warning) << "}";

@@ -14,6 +14,10 @@
 #include <string>
 #include <vector>
 
+namespace tauhls::aig {
+struct SatStats;
+}
+
 namespace tauhls::verify {
 
 enum class Severity : int {
@@ -124,6 +128,9 @@ struct RuleCost {
 
   friend bool operator==(const RuleCost&, const RuleCost&) = default;
 };
+
+/// The work of one SAT query as a cost row (queries = 1).
+RuleCost satQueryCost(const aig::SatStats& s);
 
 /// One row of the lint JSON "symbolic" section (schema v4): the verdict and
 /// SAT work of one safety property checked by the symbolic model checker

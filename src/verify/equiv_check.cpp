@@ -39,14 +39,6 @@ using lowering::rtlFunctions;
 using lowering::specFunctions;
 using lowering::SymbolicEval;
 
-void addSatCost(RuleCost& cost, const aig::SatStats& s) {
-  cost.decisions += s.decisions;
-  cost.propagations += s.propagations;
-  cost.conflicts += s.conflicts;
-  cost.learned += s.learned;
-  cost.restarts += s.restarts;
-}
-
 /// Per-controller proof engine.  The Incremental path front-ends every query
 /// with bit-parallel simulation (a simulated mismatch *is* the
 /// counterexample, no CNF ever exists for it), memoizes proven-equal
@@ -83,8 +75,7 @@ struct Prover {
     if (!inc) {
       const aig::CecResult r = aig::proveEquivalent(
           ctx.g, ref, cand, ctx.valid, options.maxConflicts);
-      ++cost.queries;
-      addSatCost(cost, r.stats);
+      cost += satQueryCost(r.stats);
       return r;
     }
     aig::CecResult r;
@@ -110,8 +101,7 @@ struct Prover {
       return r;
     }
     r = inc->prove(ref, cand, ctx.valid, options.maxConflicts);
-    ++cost.queries;
-    addSatCost(cost, r.stats);
+    cost += satQueryCost(r.stats);
     if (r.status == aig::SatResult::Unsat) {
       unite(ref, cand);
     } else if (r.status == aig::SatResult::Sat) {
@@ -284,8 +274,7 @@ void checkCompletionLatch(const std::string& packageSource, Report& report,
     const aig::CecResult levelCec = aig::proveEquivalent(
         g, eval.nonzero(level->second), g.orLit(held, pulse));
     if (stats != nullptr) {
-      ++stats->ruleCost["EQV004"].queries;
-      addSatCost(stats->ruleCost["EQV004"], levelCec.stats);
+      stats->ruleCost["EQV004"] += satQueryCost(levelCec.stats);
     }
     if (!levelCec.equivalent()) {
       report.add("EQV004", artifact, "level",
@@ -301,8 +290,7 @@ void checkCompletionLatch(const std::string& packageSource, Report& report,
     const aig::CecResult heldCec = aig::proveEquivalent(
         g, eval.nonzero(heldNext->second), specNext);
     if (stats != nullptr) {
-      ++stats->ruleCost["EQV004"].queries;
-      addSatCost(stats->ruleCost["EQV004"], heldCec.stats);
+      stats->ruleCost["EQV004"] += satQueryCost(heldCec.stats);
     }
     if (!heldCec.equivalent()) {
       report.add("EQV004", artifact, "held",

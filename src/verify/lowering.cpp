@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 
 namespace tauhls::verify::lowering {
 
@@ -13,6 +14,56 @@ using aig::Aig;
 using aig::kLitFalse;
 using aig::kLitTrue;
 using aig::Lit;
+
+Lit stateMatch(Aig& g, const synth::Encoding& enc,
+               const std::vector<Lit>& stateBits, int s) {
+  Lit acc = kLitTrue;
+  for (int b = 0; b < enc.bits; ++b) {
+    const bool bit = (enc.codeOf[static_cast<std::size_t>(s)] >> b) & 1u;
+    const Lit sb = stateBits[static_cast<std::size_t>(b)];
+    acc = g.andLit(acc, bit ? sb : aig::negate(sb));
+  }
+  return acc;
+}
+
+Lit guardLit(Aig& g, const fsm::Guard& guard, const InputResolver& inputOf) {
+  Lit acc = kLitFalse;
+  for (const fsm::GuardTerm& term : guard.terms()) {
+    Lit t = kLitTrue;
+    for (const auto& [sig, positive] : term.literals) {
+      const Lit in = inputOf(sig);
+      t = g.andLit(t, positive ? in : aig::negate(in));
+    }
+    acc = g.orLit(acc, t);
+  }
+  return acc;
+}
+
+FnMap fsmFunctions(Aig& g, const fsm::Fsm& f, const synth::Encoding& enc,
+                   const std::vector<Lit>& stateBits,
+                   const InputResolver& inputOf) {
+  std::vector<Lit> ns(static_cast<std::size_t>(enc.bits), kLitFalse);
+  std::map<std::string, Lit> out;
+  for (const std::string& o : f.outputs()) out[o] = kLitFalse;
+  for (const fsm::Transition& t : f.transitions()) {
+    const Lit guard = guardLit(g, t.guard, inputOf);
+    const Lit fire = g.andLit(stateMatch(g, enc, stateBits, t.from), guard);
+    const std::uint32_t code = enc.codeOf[static_cast<std::size_t>(t.to)];
+    for (int b = 0; b < enc.bits; ++b) {
+      if ((code >> b) & 1u) {
+        ns[static_cast<std::size_t>(b)] =
+            g.orLit(ns[static_cast<std::size_t>(b)], fire);
+      }
+    }
+    for (const std::string& o : t.outputs) out[o] = g.orLit(out[o], fire);
+  }
+  FnMap fns;
+  for (int b = 0; b < enc.bits; ++b) {
+    fns.emplace_back(numbered("ns", b), ns[static_cast<std::size_t>(b)]);
+  }
+  for (const std::string& o : f.outputs()) fns.emplace_back(o, out.at(o));
+  return fns;
+}
 
 ControllerContext::ControllerContext(const fsm::Fsm& f,
                                      synth::EncodingStyle style)
@@ -24,64 +75,16 @@ ControllerContext::ControllerContext(const fsm::Fsm& f,
     inputOf.emplace(in, g.addInput(in));
   }
   for (std::size_t s = 0; s < f.numStates(); ++s) {
-    valid = g.orLit(valid, stateMatch(static_cast<int>(s)));
+    valid = g.orLit(valid, stateMatch(g, enc, stateBits, static_cast<int>(s)));
   }
-}
-
-Lit ControllerContext::stateMatch(int s) {
-  Lit acc = kLitTrue;
-  for (int b = 0; b < enc.bits; ++b) {
-    const bool bit = (enc.codeOf[static_cast<std::size_t>(s)] >> b) & 1u;
-    acc = g.andLit(acc, bit ? stateBits[static_cast<std::size_t>(b)]
-                            : aig::negate(stateBits[static_cast<std::size_t>(b)]));
-  }
-  return acc;
-}
-
-Lit ControllerContext::guardLit(const fsm::Guard& guard) {
-  Lit acc = kLitFalse;
-  for (const fsm::GuardTerm& term : guard.terms()) {
-    Lit t = kLitTrue;
-    for (const auto& [sig, positive] : term.literals) {
-      const Lit in = inputOf.at(sig);
-      t = g.andLit(t, positive ? in : aig::negate(in));
-    }
-    acc = g.orLit(acc, t);
-  }
-  return acc;
-}
-
-std::vector<std::string> ControllerContext::functionNames() const {
-  std::vector<std::string> names;
-  for (int b = 0; b < enc.bits; ++b) names.push_back("ns" + std::to_string(b));
-  for (const std::string& o : fsm->outputs()) names.push_back(o);
-  return names;
 }
 
 // --- representation 1: the FSM specification -------------------------------
 
 FnMap specFunctions(ControllerContext& ctx) {
-  const fsm::Fsm& f = *ctx.fsm;
-  std::vector<Lit> ns(static_cast<std::size_t>(ctx.enc.bits), kLitFalse);
-  std::map<std::string, Lit> out;
-  for (const std::string& o : f.outputs()) out[o] = kLitFalse;
-  for (const fsm::Transition& t : f.transitions()) {
-    const Lit fire = ctx.g.andLit(ctx.stateMatch(t.from), ctx.guardLit(t.guard));
-    const std::uint32_t code = ctx.enc.codeOf[static_cast<std::size_t>(t.to)];
-    for (int b = 0; b < ctx.enc.bits; ++b) {
-      if ((code >> b) & 1u) {
-        ns[static_cast<std::size_t>(b)] =
-            ctx.g.orLit(ns[static_cast<std::size_t>(b)], fire);
-      }
-    }
-    for (const std::string& o : t.outputs) out[o] = ctx.g.orLit(out[o], fire);
-  }
-  FnMap fns;
-  for (int b = 0; b < ctx.enc.bits; ++b) {
-    fns.emplace_back("ns" + std::to_string(b), ns[static_cast<std::size_t>(b)]);
-  }
-  for (const std::string& o : f.outputs()) fns.emplace_back(o, out.at(o));
-  return fns;
+  return fsmFunctions(
+      ctx.g, *ctx.fsm, ctx.enc, ctx.stateBits,
+      [&](const std::string& sig) { return ctx.inputOf.at(sig); });
 }
 
 // --- representation 2: the minimized two-level covers ----------------------

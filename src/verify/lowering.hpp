@@ -3,12 +3,16 @@
 // equivalence checker so the X-propagation and don't-care-soundness passes
 // reason over the *same* cones the equivalence proofs certify.
 //
-// All functions share a ControllerContext: inputs are the encoded state bits
-// (state0..state{n-1}) followed by the FSM's declared input signals, and
-// every function family is returned ns0..ns{n-1} first, then the declared
-// outputs (FnMap order).
+// The FSM lowering itself (stateMatch, guardLit, fsmFunctions) works over a
+// caller's graph, state bits and input resolver, so the X-propagation
+// network model and the symbolic model check build their cones with it too.
+// The representation functions share a ControllerContext: inputs are the
+// encoded state bits (state0..state{n-1}) followed by the FSM's declared
+// input signals.  Every function family is returned ns0..ns{n-1} first,
+// then the declared outputs (FnMap order).
 #pragma once
 
+#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -29,6 +33,25 @@ namespace tauhls::verify::lowering {
 /// the FSM's declared outputs.
 using FnMap = std::vector<std::pair<std::string, aig::Lit>>;
 
+/// Resolves one FSM input signal to its literal.  Resolvers may build the
+/// literal on first use; guardLit asks only for the signals a guard reads.
+using InputResolver = std::function<aig::Lit(const std::string&)>;
+
+/// state == the code of state id `s` over `stateBits` (LSB first).
+aig::Lit stateMatch(aig::Aig& g, const synth::Encoding& enc,
+                    const std::vector<aig::Lit>& stateBits, int s);
+
+/// The guard's sum-of-products over the resolved input literals.
+aig::Lit guardLit(aig::Aig& g, const fsm::Guard& guard,
+                  const InputResolver& inputOf);
+
+/// The FSM's next-state bits and outputs (FnMap order) over a caller's graph,
+/// state bits and inputs: a transition fires when its source state matches
+/// and its guard holds.  Undecodable codes step to all-zero, outputs to 0.
+FnMap fsmFunctions(aig::Aig& g, const fsm::Fsm& f, const synth::Encoding& enc,
+                   const std::vector<aig::Lit>& stateBits,
+                   const InputResolver& inputOf);
+
 /// Shared AIG context of one controller: inputs are the encoded state bits
 /// (state0.. state{n-1}) followed by the FSM's declared input signals.
 struct ControllerContext {
@@ -40,16 +63,10 @@ struct ControllerContext {
   aig::Lit valid = aig::kLitFalse;  ///< OR of all encoded-state matches
 
   ControllerContext(const fsm::Fsm& f, synth::EncodingStyle style);
-
-  /// state == the encoding of state id `s`.
-  aig::Lit stateMatch(int s);
-  /// The guard's sum-of-products over the declared input literals.
-  aig::Lit guardLit(const fsm::Guard& guard);
-  /// ns0..ns{n-1} then the declared outputs (the FnMap name order).
-  std::vector<std::string> functionNames() const;
 };
 
-/// Representation 1: the FSM specification itself.
+/// Representation 1: the FSM specification itself (fsmFunctions over the
+/// context's inputs).
 FnMap specFunctions(ControllerContext& ctx);
 
 /// One minimized cover as a literal (cover variable order: state bits LSB

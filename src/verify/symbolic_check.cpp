@@ -9,26 +9,17 @@
 #include <vector>
 
 #include "aig/aig.hpp"
-#include "aig/sat.hpp"
 #include "aig/unroll.hpp"
 #include "common/error.hpp"
 #include "fsm/network.hpp"
 #include "fsm/signal.hpp"
+#include "verify/lowering.hpp"
 #include "verify/model_check.hpp"
 
 namespace tauhls::verify {
 
 using aig::Lit;
 using detail::OpTable;
-
-const char* propertyVerdictName(PropertyVerdict v) {
-  switch (v) {
-    case PropertyVerdict::Proved: return "PROVED";
-    case PropertyVerdict::Counterexample: return "CEX";
-    case PropertyVerdict::Unknown: return "UNKNOWN";
-  }
-  return "UNKNOWN";
-}
 
 std::map<std::string, RuleCost> SymbolicStats::ruleCost() const {
   std::map<std::string, RuleCost> out;
@@ -51,16 +42,6 @@ std::vector<SymbolicPropertyStat> SymbolicStats::jsonStats() const {
 namespace {
 
 constexpr int kNumProperties = 5;  // MDL001..MDL005
-
-RuleCost costOf(const aig::SatStats& d) {
-  RuleCost c;
-  c.decisions = d.decisions;
-  c.propagations = d.propagations;
-  c.conflicts = d.conflicts;
-  c.learned = d.learned;
-  c.restarts = d.restarts;
-  return c;
-}
 
 /// A witness cone: evaluated on the counterexample's final cycle to name the
 /// specific violation inside a property's disjunction.
@@ -127,18 +108,9 @@ Lit signalValue(Network& net, const ControllerModel& cm, const std::string& sig,
 
 Lit evalGuard(Network& net, const ControllerModel& cm, const fsm::Guard& guard,
               const std::map<std::string, Lit>& emitted, bool extTrue) {
-  std::vector<Lit> terms;
-  terms.reserve(guard.terms().size());
-  for (const fsm::GuardTerm& t : guard.terms()) {
-    std::vector<Lit> lits;
-    lits.reserve(t.literals.size());
-    for (const auto& [sig, positive] : t.literals) {
-      const Lit v = signalValue(net, cm, sig, emitted, extTrue);
-      lits.push_back(positive ? v : aig::negate(v));
-    }
-    terms.push_back(net.g.andN(lits));
-  }
-  return net.g.orN(terms);
+  return lowering::guardLit(net.g, guard, [&](const std::string& sig) {
+    return signalValue(net, cm, sig, emitted, extTrue);
+  });
 }
 
 /// One iterate of the phase-1 emission function: which internal pulses the
@@ -226,8 +198,7 @@ StepCones buildStep(Network& net, const OpTable& table, bool extTrue) {
 /// strengthening invariant, whose base case is checked from the initial
 /// state, so a mis-derivation on a mutated controller disables induction
 /// instead of causing an unsound proof.
-void derivePositions(ControllerModel& cm, const OpTable& table,
-                     const std::map<std::string, int>& opIndexOfName) {
+void derivePositions(ControllerModel& cm, const OpTable& table) {
   const std::size_t numStates = cm.fsm.numStates();
   cm.completesOp.assign(numStates, -1);
   cm.statePos.assign(numStates, -1);
@@ -271,7 +242,6 @@ void derivePositions(ControllerModel& cm, const OpTable& table,
   for (int& p : cm.statePos) {
     if (p < 0) p = 0;  // unreachable with generated controllers
   }
-  (void)opIndexOfName;
 }
 
 /// Exactly-one-of over `lits` violated: none set, or at least two set.
@@ -320,7 +290,7 @@ Network buildNetwork(const fsm::DistributedControlUnit& dcu,
     for (const std::string& sig : src.latchedInputs) {
       cm.lat[sig] = net.g.addInput("lat:" + cm.fsm.name() + ":" + sig);
     }
-    derivePositions(cm, table, opIndexOfName);
+    derivePositions(cm, table);
     net.ctls.push_back(std::move(cm));
   }
   for (const std::string& name : table.names) {
@@ -523,83 +493,49 @@ Network buildNetwork(const fsm::DistributedControlUnit& dcu,
   return net;
 }
 
-/// Replays a satisfying assignment deterministically: model values of the
-/// frame inputs drive Aig::evaluate, so every state/latch/pulse cone of every
-/// cycle -- encoded or not -- gets a consistent concrete value.
-class TraceDecoder {
- public:
-  TraceDecoder(Network& net, aig::Unroller& unroller,
-               const aig::CnfEncoder& enc, const aig::SatSolver& solver)
-      : net_(net), unroller_(unroller) {
-    vals_.assign(net.g.numInputs(), false);
-    for (std::size_t i = 0; i < net.g.numInputs(); ++i) {
-      const std::uint32_t node =
-          aig::nodeOf(net.g.findInput(net.g.inputNames()[i]));
-      const int var = enc.varIfEncoded(node);
-      if (var != 0) vals_[i] = solver.modelValue(var);
+/// Controller `cm`'s one-hot state at `frame`: "?" or "multi" when the
+/// one-hot encoding is broken (MDL001 traces).
+std::string stateNameAt(const FrameEval& eval, int frame,
+                        const ControllerModel& cm) {
+  std::string found;
+  int count = 0;
+  for (int st = 0; st < static_cast<int>(cm.fsm.numStates()); ++st) {
+    if (eval(frame, cm.st[static_cast<std::size_t>(st)])) {
+      found = cm.fsm.stateName(st);
+      ++count;
     }
   }
+  if (count == 1) return found;
+  return count == 0 ? "?" : "multi";
+}
 
-  bool eval(int frame, Lit templateLit) {
-    const Lit l = unroller_.at(frame, templateLit);
-    if (net_.g.numInputs() > vals_.size()) {
-      vals_.resize(net_.g.numInputs(), false);  // unconstrained: pick 0
+/// Multi-line per-cycle waveform of frames 0..depth.
+std::string waveform(const Network& net, const FrameEval& eval, int depth) {
+  std::ostringstream os;
+  for (int f = 0; f <= depth; ++f) {
+    os << "\n  cycle " << f << ":";
+    for (const auto& [sig, lit] : net.ext) {
+      os << " " << sig << "=" << (eval(f, lit) ? "1" : "0");
     }
-    return net_.g.evaluate(l, vals_);
-  }
-
-  /// Multi-line per-cycle waveform of frames 0..depth.
-  std::string waveform(int depth) {
-    std::ostringstream os;
-    for (int f = 0; f <= depth; ++f) {
-      os << "\n  cycle " << f << ":";
-      for (const auto& [sig, lit] : net_.ext) {
-        os << " " << sig << "=" << (eval(f, lit) ? "1" : "0");
-      }
-      if (!net_.ext.empty()) os << " |";
-      for (const ControllerModel& cm : net_.ctls) {
-        os << " " << cm.fsm.name() << "@" << stateName(f, cm);
-      }
-      std::string pulses;
-      for (const auto& [sig, lit] : net_.step.pulse) {
-        if (eval(f, lit)) pulses += " " + sig;
-      }
-      if (!pulses.empty()) os << " | pulses" << pulses;
-      std::string latched;
-      for (const ControllerModel& cm : net_.ctls) {
-        for (const auto& [sig, lit] : cm.lat) {
-          if (eval(f, lit)) latched += " " + cm.fsm.name() + ":" + sig;
-        }
-      }
-      if (!latched.empty()) os << " | latched" << latched;
+    if (!net.ext.empty()) os << " |";
+    for (const ControllerModel& cm : net.ctls) {
+      os << " " << cm.fsm.name() << "@" << stateNameAt(eval, f, cm);
     }
-    return os.str();
-  }
-
- private:
-  std::string stateName(int frame, const ControllerModel& cm) {
-    std::string found;
-    int count = 0;
-    for (int st = 0; st < static_cast<int>(cm.fsm.numStates()); ++st) {
-      if (eval(frame, cm.st[static_cast<std::size_t>(st)])) {
-        found = cm.fsm.stateName(st);
-        ++count;
+    std::string pulses;
+    for (const auto& [sig, lit] : net.step.pulse) {
+      if (eval(f, lit)) pulses += " " + sig;
+    }
+    if (!pulses.empty()) os << " | pulses" << pulses;
+    std::string latched;
+    for (const ControllerModel& cm : net.ctls) {
+      for (const auto& [sig, lit] : cm.lat) {
+        if (eval(f, lit)) latched += " " + cm.fsm.name() + ":" + sig;
       }
     }
-    if (count == 1) return found;
-    return count == 0 ? "?" : "multi";  // one-hot broken (MDL001 traces)
+    if (!latched.empty()) os << " | latched" << latched;
   }
-
-  Network& net_;
-  aig::Unroller& unroller_;
-  std::vector<bool> vals_;
-};
-
-struct PropertyState {
-  const char* rule;
-  SymbolicProperty result;
-  bool open = true;
-};
+  return os.str();
+}
 
 }  // namespace
 
@@ -618,140 +554,51 @@ SymbolicArtifact symbolicModelCheck(const fsm::DistributedControlUnit& dcu,
   out.stats.stateBits = net.seq.vars.size();
   out.stats.templateNodes = net.g.numNodes();
 
-  aig::SatSolver solver;
-  aig::CnfEncoder enc(net.g, solver);
-  aig::Unroller bmc(net.g, net.seq, "b", /*initFrame0=*/true);
-  aig::Unroller ind(net.g, net.seq, "i", /*initFrame0=*/false);
-
   static const char* kRules[kNumProperties] = {"MDL001", "MDL002", "MDL003",
                                                "MDL004", "MDL005"};
-  PropertyState props[kNumProperties];
-  Lit conj[kNumProperties];
-  for (int p = 0; p < kNumProperties; ++p) {
-    props[p].rule = kRules[p];
-    props[p].result.rule = kRules[p];
-    conj[p] = net.g.andLit(net.inv, aig::negate(net.bad[p]));
-  }
-
-  // Simple-path difference literals over the free unrolling, built on demand.
-  std::map<std::pair<int, int>, int> diffLit;
-  auto pathDiff = [&](int i, int j) {
-    const auto it = diffLit.find({i, j});
-    if (it != diffLit.end()) return it->second;
-    const Lit eq = net.g.eqVec(ind.stateVector(i), ind.stateVector(j));
-    const int lit = enc.encode(aig::negate(eq));
-    diffLit.emplace(std::make_pair(i, j), lit);
-    return lit;
-  };
-
-  enum class InvState { Ok, Broken, Unknown };
-  InvState invState = InvState::Ok;
-  bool anyOpen = true;
-
-  for (int depth = 0; depth <= options.maxDepth && anyOpen; ++depth) {
-    // BMC: is the property violated exactly `depth` steps from reset?
-    for (int p = 0; p < kNumProperties; ++p) {
-      if (!props[p].open) continue;
-      const aig::SatStats before = solver.stats();
-      const int badLit = enc.encode(bmc.at(depth, net.bad[p]));
-      const aig::SatResult res =
-          solver.solve(std::vector<int>{badLit}, options.maxConflicts);
-      props[p].result.cost += costOf(solver.stats() - before);
-      props[p].result.cost.queries += 1;
-      if (res == aig::SatResult::Unsat) {
-        props[p].result.depthReached = depth;
-        solver.addClause({-badLit});  // implied; helps later frames
-      } else if (res == aig::SatResult::Sat) {
-        props[p].open = false;
-        props[p].result.verdict = PropertyVerdict::Counterexample;
-        props[p].result.cexLength = depth + 1;
-        TraceDecoder decoder(net, bmc, enc, solver);
+  const InductionRun run = proveSafety(
+      net.g, net.seq, std::vector<Lit>(net.bad, net.bad + kNumProperties),
+      net.inv, options.maxDepth, options.maxConflicts,
+      [&](std::size_t p, int depth, const FrameEval& eval) {
         std::string where;
         std::string detail = "safety property violated";
         for (const Witness& w : net.witnesses[p]) {
-          if (decoder.eval(depth, w.cone)) {
+          if (eval(depth, w.cone)) {
             where = w.where;
             detail = (w.where.empty() ? "" : w.where + " ") + w.detail;
             break;
           }
         }
-        out.report.add(props[p].rule, artifact, where,
+        out.report.add(kRules[p], artifact, where,
                        "BMC counterexample after " +
                            std::to_string(depth + 1) + " cycle(s): " + detail +
-                           decoder.waveform(depth));
-      }
-      // Unknown: leave open; the verdict degrades to UNKNOWN at the end.
-    }
-
-    // Invariant base: does the strengthening invariant hold `depth` steps
-    // from reset?  Broken or unproven disables induction (BMC is unaffected).
-    if (invState == InvState::Ok) {
-      const aig::SatStats before = solver.stats();
-      const int invLit = enc.encode(aig::negate(bmc.at(depth, net.inv)));
-      const aig::SatResult res =
-          solver.solve(std::vector<int>{invLit}, options.maxConflicts);
-      out.stats.invariantCost += costOf(solver.stats() - before);
-      out.stats.invariantCost.queries += 1;
-      if (res == aig::SatResult::Unsat) {
-        solver.addClause({-invLit});
-      } else {
-        invState = res == aig::SatResult::Sat ? InvState::Broken
-                                              : InvState::Unknown;
-        out.stats.invariantHolds = false;
-      }
-    }
-
-    // k-induction step at k = depth + 1: assume inv & !bad on k consecutive
-    // arbitrary states forming a simple path, refute it on the successor.
-    if (invState == InvState::Ok) {
-      const int k = depth + 1;
-      for (int p = 0; p < kNumProperties; ++p) {
-        if (!props[p].open || props[p].result.depthReached != depth) continue;
-        std::vector<int> assumptions;
-        for (int i = 0; i < k; ++i) {
-          assumptions.push_back(enc.encode(ind.at(i, conj[p])));
-        }
-        assumptions.push_back(-enc.encode(ind.at(k, conj[p])));
-        for (int i = 0; i < k; ++i) {
-          for (int j = i + 1; j <= k; ++j) {
-            assumptions.push_back(pathDiff(i, j));
-          }
-        }
-        const aig::SatStats before = solver.stats();
-        const aig::SatResult res =
-            solver.solve(assumptions, options.maxConflicts);
-        props[p].result.cost += costOf(solver.stats() - before);
-        props[p].result.cost.queries += 1;
-        if (res == aig::SatResult::Unsat) {
-          props[p].open = false;
-          props[p].result.verdict = PropertyVerdict::Proved;
-          props[p].result.inductionK = k;
-        }
-      }
-    }
-
-    anyOpen = false;
-    for (const PropertyState& p : props) anyOpen = anyOpen || p.open;
+                           waveform(net, eval, depth));
+      });
+  out.stats.invariantHolds = run.invariantHolds;
+  out.stats.invariantCost = run.invariantCost;
+  for (int p = 0; p < kNumProperties; ++p) {
+    const InductionResult& r = run.properties[static_cast<std::size_t>(p)];
+    out.stats.properties.push_back(SymbolicProperty{
+        kRules[p], r.verdict, r.depthReached, r.inductionK,
+        r.verdict == PropertyVerdict::Counterexample ? r.cexDepth + 1 : 0,
+        r.cost});
   }
-
-  for (PropertyState& p : props) out.stats.properties.push_back(p.result);
+  const std::vector<SymbolicProperty>& props = out.stats.properties;
 
   // MDL008: one summary per network so the verdicts are visible in the
   // rendered report, not only in the JSON stats.
   {
     std::ostringstream os;
     int proved = 0;
-    for (const PropertyState& p : props) {
-      if (p.result.verdict == PropertyVerdict::Proved) ++proved;
+    for (const SymbolicProperty& p : props) {
+      if (p.verdict == PropertyVerdict::Proved) ++proved;
     }
     os << "BMC + k-induction over " << net.seq.vars.size()
        << " state bits: " << proved << "/" << kNumProperties << " proved (";
-    for (int p = 0; p < kNumProperties; ++p) {
-      if (p != 0) os << ", ";
-      os << props[p].rule << " " << propertyVerdictName(props[p].result.verdict);
-      if (props[p].result.verdict == PropertyVerdict::Proved) {
-        os << " k=" << props[p].result.inductionK;
-      }
+    for (const SymbolicProperty& p : props) {
+      if (&p != &props.front()) os << ", ";
+      os << p.rule << " " << propertyVerdictName(p.verdict);
+      if (p.verdict == PropertyVerdict::Proved) os << " k=" << p.inductionK;
     }
     os << "); invariant base "
        << (out.stats.invariantHolds ? "holds" : "not established");
@@ -765,8 +612,8 @@ SymbolicArtifact symbolicModelCheck(const fsm::DistributedControlUnit& dcu,
     const detail::EventAnalysis cent = detail::analyzeEvents(
         *centSync, table, "fsm " + centSync->name(), out.report);
     const bool alphabetKnown =
-        props[1].result.verdict == PropertyVerdict::Proved &&
-        props[2].result.verdict == PropertyVerdict::Proved;
+        props[1].verdict == PropertyVerdict::Proved &&
+        props[2].verdict == PropertyVerdict::Proved;
     if (alphabetKnown) {
       std::set<int> all;
       for (int i = 0; i < static_cast<int>(table.names.size()); ++i) {

@@ -24,12 +24,11 @@
 //   MDL004  causality: RE_<op> fires although a data predecessor has not.
 //   MDL005  per-unit order: RE_<op> fires before the unit's previous bound op.
 //
-// Each property runs incremental BMC (one shared solver per network,
-// assumption-selected unrollings, learned clauses shared across depths and
-// properties) interleaved with k-induction strengthened by a structural
-// invariant (one-hot states, fired == state position, latch == producer
-// fired, executing states imply predecessor latches) and a simple-path
-// constraint.  Properties that close get a PROVED verdict with the induction
+// The properties run through the shared BMC + k-induction engine
+// (verify/induction.hpp: one solver per network, simple-path constraints)
+// with a structural strengthening invariant (one-hot states, fired == state
+// position, latch == producer fired, executing states imply predecessor
+// latches).  Properties that close get a PROVED verdict with the induction
 // depth; failures get a concrete counterexample decoded back to per-cycle
 // RE / S_i / S_i' / R_i waveforms in the diagnostic message.  The
 // strengthening invariant is itself base-checked from the initial state and
@@ -46,17 +45,9 @@
 #include "fsm/machine.hpp"
 #include "sched/scheduled_dfg.hpp"
 #include "verify/diagnostic.hpp"
+#include "verify/induction.hpp"
 
 namespace tauhls::verify {
-
-enum class PropertyVerdict : int {
-  Proved = 0,          ///< closed by k-induction
-  Counterexample = 1,  ///< concrete failing trace found by BMC
-  Unknown = 2,         ///< neither within the depth/conflict budget
-};
-
-/// Stable name: "PROVED", "CEX", "UNKNOWN".
-const char* propertyVerdictName(PropertyVerdict v);
 
 /// Outcome and SAT cost of one safety property on one controller network.
 struct SymbolicProperty {

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -18,6 +17,7 @@
 #include "common/parallel.hpp"
 #include "rtl/verilog.hpp"
 #include "synth/encoding.hpp"
+#include "verify/lowering.hpp"
 #include "verify/symbolic_check.hpp"
 #include "vsim/simulate.hpp"
 
@@ -116,85 +116,30 @@ void addProbe(NetModel& m, const std::string& artifact, const std::string& name,
   m.probes.push_back({artifact, name, lit});
 }
 
-/// Lowers one FSM's next-state and output cones into the model's graph,
-/// resolving input signals through a caller-supplied cone map.  Mirrors the
-/// emitted RTL exactly: undecodable state codes take the default arm back to
-/// the initial state, outputs default to 0.
-class FsmCones {
- public:
-  FsmCones(Aig& g, const fsm::Fsm& f, synth::EncodingStyle style,
-           std::vector<Lit> stateCur)
-      : g_(g),
-        fsm_(f),
-        enc_(synth::encodeStates(f, style)),
-        state_(std::move(stateCur)) {}
-
-  const synth::Encoding& enc() const { return enc_; }
-
-  Lit stateMatch(int s) {
-    Lit acc = kLitTrue;
-    for (int b = 0; b < enc_.bits; ++b) {
-      const bool bit = (enc_.codeOf[static_cast<std::size_t>(s)] >> b) & 1u;
-      acc = g_.andLit(acc,
-                      bit ? state_[static_cast<std::size_t>(b)]
-                          : aig::negate(state_[static_cast<std::size_t>(b)]));
-    }
-    return acc;
+/// One FSM's next-state and output cones as the emitted RTL computes them:
+/// lowering::fsmFunctions plus the RTL's default case arm, which steps an
+/// undecodable state code to the initial state -- so the model tracks the
+/// emitted machine on *every* power-on pattern, not just the encoded ones.
+lowering::FnMap rtlFsmFunctions(Aig& g, const fsm::Fsm& f,
+                                const synth::Encoding& enc,
+                                const std::vector<Lit>& state,
+                                const std::map<std::string, Lit>& inputOf) {
+  Lit valid = kLitFalse;
+  for (std::size_t s = 0; s < f.numStates(); ++s) {
+    valid = g.orLit(valid,
+                    lowering::stateMatch(g, enc, state, static_cast<int>(s)));
   }
-
-  /// Build every next-state bit and output cone; `inputOf` maps the FSM's
-  /// input names to already-built cones.
-  void build(const std::map<std::string, Lit>& inputOf) {
-    Lit valid = kLitFalse;
-    for (std::size_t s = 0; s < fsm_.numStates(); ++s) {
-      valid = g_.orLit(valid, stateMatch(static_cast<int>(s)));
-    }
-    ns_.assign(static_cast<std::size_t>(enc_.bits), kLitFalse);
-    for (const std::string& o : fsm_.outputs()) out_[o] = kLitFalse;
-    for (const fsm::Transition& t : fsm_.transitions()) {
-      Lit guard = kLitFalse;
-      for (const fsm::GuardTerm& term : t.guard.terms()) {
-        Lit g = kLitTrue;
-        for (const auto& [sig, positive] : term.literals) {
-          const Lit in = inputOf.at(sig);
-          g = g_.andLit(g, positive ? in : aig::negate(in));
-        }
-        guard = g_.orLit(guard, g);
-      }
-      const Lit fire = g_.andLit(stateMatch(t.from), guard);
-      const std::uint32_t code = enc_.codeOf[static_cast<std::size_t>(t.to)];
-      for (int b = 0; b < enc_.bits; ++b) {
-        if ((code >> b) & 1u) {
-          ns_[static_cast<std::size_t>(b)] =
-              g_.orLit(ns_[static_cast<std::size_t>(b)], fire);
-        }
-      }
-      for (const std::string& o : t.outputs) out_[o] = g_.orLit(out_[o], fire);
-    }
-    // The RTL's default case arm: an undecodable code steps to the initial
-    // state, so the model tracks the emitted machine on *every* power-on
-    // pattern, not just the encoded ones.
-    const std::uint32_t init =
-        enc_.codeOf[static_cast<std::size_t>(fsm_.initial())];
-    for (int b = 0; b < enc_.bits; ++b) {
-      if ((init >> b) & 1u) {
-        ns_[static_cast<std::size_t>(b)] =
-            g_.orLit(ns_[static_cast<std::size_t>(b)], aig::negate(valid));
-      }
-    }
+  lowering::FnMap fns =
+      lowering::fsmFunctions(g, f, enc, state, [&](const std::string& sig) {
+        return inputOf.at(sig);
+      });
+  const std::uint32_t init = enc.codeOf[static_cast<std::size_t>(f.initial())];
+  for (int b = 0; b < enc.bits; ++b) {
+    Lit& ns = fns[static_cast<std::size_t>(b)].second;
+    if ((init >> b) & 1u) ns = g.orLit(ns, aig::negate(valid));
   }
-
-  Lit ns(int b) const { return ns_[static_cast<std::size_t>(b)]; }
-  Lit output(const std::string& o) const { return out_.at(o); }
-
- private:
-  Aig& g_;
-  const fsm::Fsm& fsm_;
-  synth::Encoding enc_;
-  std::vector<Lit> state_;
-  std::vector<Lit> ns_;
-  std::map<std::string, Lit> out_;
-};
+  return fns;
+}
 
 /// Flat network model: every controller plus one completion latch per
 /// consumed signal, wired exactly as rtl::emitDistributedTop wires them.
@@ -215,10 +160,12 @@ NetModel buildFlatModel(const fsm::DistributedControlUnit& dcu,
 
   // Registers first (they are the template inputs): encoded state bits per
   // controller, one held bit per consumed signal.
+  std::vector<synth::Encoding> encs;
   std::vector<std::vector<Lit>> stateCur(dcu.controllers.size());
   for (std::size_t i = 0; i < dcu.controllers.size(); ++i) {
     const fsm::Fsm& f = dcu.controllers[i].fsm;
-    const synth::Encoding enc = synth::encodeStates(f, style);
+    const synth::Encoding& enc =
+        encs.emplace_back(synth::encodeStates(f, style));
     StateGroup group;
     group.fsmName = f.name();
     for (int b = 0; b < enc.bits; ++b) {
@@ -246,7 +193,7 @@ NetModel buildFlatModel(const fsm::DistributedControlUnit& dcu,
   // every pulse cone against the previous round's pulses, with round 0
   // seeing the held latches only.  Hash-consing collapses rounds that have
   // already stabilized, so acyclic networks cost nothing extra.
-  std::vector<std::unique_ptr<FsmCones>> cones(dcu.controllers.size());
+  std::vector<lowering::FnMap> fns(dcu.controllers.size());
   std::map<std::string, Lit> pulseOf;
   for (int round = 0; round < 3; ++round) {
     std::map<std::string, Lit> nextPulse;
@@ -267,10 +214,10 @@ NetModel buildFlatModel(const fsm::DistributedControlUnit& dcu,
           inputOf[in] = it->second;
         }
       }
-      cones[i] = std::make_unique<FsmCones>(m.g, f, style, stateCur[i]);
-      cones[i]->build(inputOf);
-      for (const std::string& o : f.outputs()) {
-        if (dcu.consumersOf.contains(o)) nextPulse[o] = cones[i]->output(o);
+      fns[i] = rtlFsmFunctions(m.g, f, encs[i], stateCur[i], inputOf);
+      for (std::size_t o = stateCur[i].size(); o < fns[i].size(); ++o) {
+        const auto& [name, lit] = fns[i][o];
+        if (dcu.consumersOf.contains(name)) nextPulse[name] = lit;
       }
     }
     pulseOf = std::move(nextPulse);
@@ -280,17 +227,17 @@ NetModel buildFlatModel(const fsm::DistributedControlUnit& dcu,
   std::size_t reg = 0;
   for (std::size_t i = 0; i < dcu.controllers.size(); ++i) {
     const fsm::Fsm& f = dcu.controllers[i].fsm;
-    const synth::Encoding& enc = cones[i]->enc();
+    const synth::Encoding& enc = encs[i];
     const std::uint32_t init =
         enc.codeOf[static_cast<std::size_t>(f.initial())];
     const bool noReset = opt.controllersWithoutStateReset.contains(f.name());
     for (int b = 0; b < enc.bits; ++b, ++reg) {
       const Lit initBit = (init >> b) & 1u ? kLitTrue : kLitFalse;
-      m.regs[reg].next = noReset ? cones[i]->ns(b)
-                                 : m.g.muxLit(m.rst, initBit, cones[i]->ns(b));
+      const Lit ns = fns[i][static_cast<std::size_t>(b)].second;
+      m.regs[reg].next = noReset ? ns : m.g.muxLit(m.rst, initBit, ns);
     }
-    for (const std::string& o : f.outputs()) {
-      addProbe(m, "fsm " + f.name(), o, cones[i]->output(o));
+    for (std::size_t o = stateCur[i].size(); o < fns[i].size(); ++o) {
+      addProbe(m, "fsm " + f.name(), fns[i][o].first, fns[i][o].second);
     }
   }
   for (const std::string& sig : consumed) {
@@ -353,17 +300,19 @@ NetModel buildSequencerModel(const fsm::HierarchicalControlUnit& hcu,
                       : m.g.findInput(in);
   }
 
-  FsmCones cones(m.g, seq, style, stateCur);
-  cones.build(inputOf);
+  const lowering::FnMap fns =
+      rtlFsmFunctions(m.g, seq, enc, stateCur, inputOf);
   const std::uint32_t init =
       enc.codeOf[static_cast<std::size_t>(seq.initial())];
   for (int b = 0; b < enc.bits; ++b) {
     const Lit initBit = (init >> b) & 1u ? kLitTrue : kLitFalse;
-    m.regs[static_cast<std::size_t>(b)].next =
-        m.g.muxLit(m.rst, initBit, cones.ns(b));
+    m.regs[static_cast<std::size_t>(b)].next = m.g.muxLit(
+        m.rst, initBit, fns[static_cast<std::size_t>(b)].second);
   }
-  for (const std::string& o : seq.outputs()) {
-    addProbe(m, "sequencer " + seq.name(), o, cones.output(o));
+  std::map<std::string, Lit> outputOf;
+  for (std::size_t o = stateCur.size(); o < fns.size(); ++o) {
+    addProbe(m, "sequencer " + seq.name(), fns[o].first, fns[o].second);
+    outputOf.emplace(fns[o]);
   }
   for (const std::string& in : doneInputs) {
     const std::size_t r = m.heldRegOf.at(in);
@@ -371,10 +320,8 @@ NetModel buildSequencerModel(const fsm::HierarchicalControlUnit& hcu,
     // Re-arming a leaf clears its stale completion; the mutation seam drops
     // the rst arc, so the latch keeps its power-on X until the (X-guarded)
     // re-arm -- exactly the wait-state init bug XPR003 exists to catch.
-    const std::string st = "ST_" + in.substr(3);
-    const bool hasSt = std::find(seq.outputs().begin(), seq.outputs().end(),
-                                 st) != seq.outputs().end();
-    const Lit rearm = hasSt ? cones.output(st) : kLitFalse;
+    const auto st = outputOf.find("ST_" + in.substr(3));
+    const Lit rearm = st != outputOf.end() ? st->second : kLitFalse;
     const Lit clear = opt.doneLatchesWithoutInit.contains(in)
                           ? rearm
                           : m.g.orLit(m.rst, rearm);

@@ -3,6 +3,7 @@
 #include "core/flow.hpp"
 #include "core/json.hpp"
 #include "dfg/benchmarks.hpp"
+#include "verify/diagnostic.hpp"
 
 namespace tauhls::core {
 namespace {
@@ -24,6 +25,12 @@ TEST(JsonEscape, Basics) {
   EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
   EXPECT_EQ(jsonEscape("a\nb\tc"), "a\\nb\\tc");
   EXPECT_EQ(jsonEscape(std::string(1, '\x01')), "\\u0001");
+  // One escaper for every JSON writer: the lint renderer agrees on \r.
+  EXPECT_EQ(jsonEscape("a\rb"), "a\\rb");
+  verify::Report report;
+  report.add("DFG004", "dfg x", "a\rb", "m");
+  EXPECT_NE(verify::renderJson(report).find("\"where\":\"a\\rb\""),
+            std::string::npos);
 }
 
 bool balanced(const std::string& s) {

@@ -444,6 +444,15 @@ TEST(Pipeline, TraceExportIsChromeCompatible) {
   EXPECT_NE(json.find("\"pid\":2"), std::string::npos);
 }
 
+TEST(Pipeline, ChromeTraceEscapesRunNames) {
+  // The CLI names a run after the design file's stem, which may hold any
+  // character a file name can.
+  const std::string json = traceToChromeJson({{"a\"b\\c", {}}});
+  EXPECT_EQ(json,
+            "{\"traceEvents\":[\n{\"name\":\"process_name\",\"ph\":\"M\","
+            "\"pid\":1,\"tid\":0,\"args\":{\"name\":\"a\\\"b\\\\c\"}}\n]}\n");
+}
+
 TEST(Pipeline, RtlArtifactMatchesEmitVerilog) {
   const auto suiteCopy = dfg::paperTable2Suite();
   const dfg::NamedBenchmark& b = suiteCopy.front();

@@ -1,8 +1,11 @@
-// Tests for the symbolic model checker (verify/symbolic_check.hpp) and the
-// sequential unrolling machinery it is built on (aig/unroll.hpp).
+// Tests for the symbolic model checker (verify/symbolic_check.hpp), the
+// BMC + k-induction engine it shares with DCS002 (verify/induction.hpp) and
+// the sequential unrolling machinery both are built on (aig/unroll.hpp).
 //
 // Three families:
-//   - unroller: BMC and k-induction on tiny hand-built sequential circuits;
+//   - unroller and engine: BMC and k-induction on tiny hand-built sequential
+//     circuits -- a proof with its k, a decoded counterexample, and a
+//     conflict budget running out after the first refuted frames;
 //   - engine agreement: on every paper benchmark under both binding
 //     strategies the symbolic and explicit engines report the same MDL
 //     verdict set (both clean), and every safety property closes by
@@ -27,6 +30,7 @@
 #include "sched/scheduled_dfg.hpp"
 #include "tau/library.hpp"
 #include "verify/diagnostic.hpp"
+#include "verify/induction.hpp"
 #include "verify/model_check.hpp"
 #include "verify/symbolic_check.hpp"
 
@@ -173,6 +177,135 @@ TEST(Unroller, InductionClosesStuckAtZero) {
             aig::SatResult::Sat);
 }
 
+/// state == `code` over `bits` (LSB first).
+aig::Lit codeIs(aig::Aig& g, const std::vector<aig::Lit>& bits,
+                unsigned code) {
+  aig::Lit acc = aig::kLitTrue;
+  for (std::size_t b = 0; b < bits.size(); ++b) {
+    acc = g.andLit(acc, (code >> b) & 1u ? bits[b] : aig::negate(bits[b]));
+  }
+  return acc;
+}
+
+TEST(Induction, ProvesWithTheClosingK) {
+  // Reachable cycle 000 <-> 001; unreachable chain 100 -> 110 -> 111 (bad,
+  // absorbing).  100 has no predecessor, so no simple path of three states
+  // ends in 111: k = 1 and k = 2 steps are satisfiable, k = 3 closes.
+  aig::Aig g;
+  const std::vector<aig::Lit> s = {g.addInput("s0"), g.addInput("s1"),
+                                   g.addInput("s2")};
+  const aig::Lit head = codeIs(g, s, 0b100);
+  const aig::Lit chain =
+      g.orN({head, codeIs(g, s, 0b110), codeIs(g, s, 0b111)});
+  const aig::Lit next0 = g.orLit(codeIs(g, s, 0b000),
+                                 g.andLit(chain, aig::negate(head)));
+  aig::SeqModel m;
+  m.vars.push_back({"s0", s[0], next0, false});
+  m.vars.push_back({"s1", s[1], chain, false});
+  m.vars.push_back({"s2", s[2], chain, false});
+  const aig::Lit bad = codeIs(g, s, 0b111);
+
+  int cexCalls = 0;
+  const InductionRun run = proveSafety(
+      g, m, {bad}, aig::kLitTrue, /*maxDepth=*/10, /*maxConflicts=*/1000,
+      [&](std::size_t, int, const FrameEval&) { ++cexCalls; });
+  ASSERT_EQ(run.properties.size(), 1u);
+  const InductionResult& r = run.properties.front();
+  EXPECT_EQ(r.verdict, PropertyVerdict::Proved);
+  EXPECT_EQ(r.inductionK, 3);
+  EXPECT_EQ(r.depthReached, 2);
+  EXPECT_EQ(r.cexDepth, -1);
+  EXPECT_EQ(r.cost.queries, 6u);  // BMC at depths 0..2, steps at k = 1..3
+  EXPECT_EQ(cexCalls, 0);
+  EXPECT_TRUE(run.invariantHolds);
+  EXPECT_EQ(run.invariantCost.queries, 0u);  // no invariant: no base query
+}
+
+TEST(Induction, CounterexampleDecodesEveryFrame) {
+  // 2-bit counter from 00 stepping only while `en` is high: 11 is first
+  // reachable at frame 3, with en = 1 on frames 0..2.
+  aig::Aig g;
+  const aig::Lit b0 = g.addInput("b0");
+  const aig::Lit b1 = g.addInput("b1");
+  const aig::Lit en = g.addInput("en");
+  aig::SeqModel m;
+  m.vars.push_back({"b0", b0, g.xorLit(b0, en), false});
+  m.vars.push_back({"b1", b1, g.xorLit(b1, g.andLit(b0, en)), false});
+  const aig::Lit bad = g.andLit(b0, b1);
+
+  std::vector<std::string> frames;
+  const InductionRun run = proveSafety(
+      g, m, {aig::kLitFalse, bad}, aig::kLitTrue, 10, 1000,
+      [&](std::size_t p, int depth, const FrameEval& eval) {
+        EXPECT_EQ(p, 1u);
+        for (int f = 0; f <= depth; ++f) {
+          frames.push_back(std::string(eval(f, b1) ? "1" : "0") +
+                           (eval(f, b0) ? "1" : "0") + " en=" +
+                           (eval(f, en) ? "1" : "0"));
+        }
+      });
+  ASSERT_EQ(run.properties.size(), 2u);
+  EXPECT_EQ(run.properties[0].verdict, PropertyVerdict::Proved);
+  EXPECT_EQ(run.properties[0].inductionK, 1);
+  const InductionResult& r = run.properties[1];
+  EXPECT_EQ(r.verdict, PropertyVerdict::Counterexample);
+  EXPECT_EQ(r.cexDepth, 3);
+  EXPECT_EQ(r.depthReached, 2);
+  EXPECT_EQ(r.inductionK, 0);
+  ASSERT_EQ(frames.size(), 4u);
+  EXPECT_EQ(frames[0], "00 en=1");
+  EXPECT_EQ(frames[1], "01 en=1");
+  EXPECT_EQ(frames[2], "10 en=1");
+  EXPECT_EQ(frames[3].substr(0, 2), "11");
+}
+
+TEST(Induction, ExhaustedBudgetClosesUnknownAtTheLastRefutedDepth) {
+  // A saturating counter 00 -> 01 -> 10 -> 10 arms, at frame 2, a
+  // pigeonhole instance over that frame's free inputs (5 pigeons, 4 holes:
+  // unsatisfiable, and far beyond a 10-conflict budget).  Frames 0 and 1
+  // refute structurally.  The invariant "c0" fails at reset, which disables
+  // induction, so BMC alone goes on -- and runs out of budget at depth 2.
+  aig::Aig g;
+  const aig::Lit c0 = g.addInput("c0");
+  const aig::Lit c1 = g.addInput("c1");
+  std::vector<std::vector<aig::Lit>> x(5);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    for (int j = 0; j < 4; ++j) {
+      x[i].push_back(g.addInput("x" + std::to_string(i) + std::to_string(j)));
+    }
+  }
+  std::vector<aig::Lit> php;
+  for (std::size_t i = 0; i < x.size(); ++i) php.push_back(g.orN(x[i]));
+  for (int j = 0; j < 4; ++j) {
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      for (std::size_t k = i + 1; k < x.size(); ++k) {
+        php.push_back(aig::negate(g.andLit(x[i][j], x[k][j])));
+      }
+    }
+  }
+  aig::SeqModel m;
+  m.vars.push_back({"c0", c0, g.andLit(aig::negate(c0), aig::negate(c1)),
+                    false});
+  m.vars.push_back({"c1", c1, g.orLit(c0, c1), false});
+  const aig::Lit armed = g.andLit(c1, aig::negate(c0));
+  const aig::Lit bad = g.andLit(armed, g.andN(php));
+
+  const InductionRun run = proveSafety(
+      g, m, {bad}, /*invariant=*/c0, /*maxDepth=*/10, /*maxConflicts=*/10,
+      [](std::size_t, int, const FrameEval&) {
+        ADD_FAILURE() << "no counterexample exists";
+      });
+  const InductionResult& res = run.properties.front();
+  EXPECT_EQ(res.verdict, PropertyVerdict::Unknown);
+  EXPECT_EQ(res.depthReached, 1);
+  EXPECT_EQ(res.inductionK, 0);
+  // BMC at depths 0..2 and nothing after the exhausted query.
+  EXPECT_EQ(res.cost.queries, 3u);
+  EXPECT_GT(res.cost.conflicts, 10u);
+  EXPECT_FALSE(run.invariantHolds);
+  EXPECT_EQ(run.invariantCost.queries, 1u);
+}
+
 // ---- engine agreement on clean designs ------------------------------------
 
 TEST(SymbolicClean, AllPaperBenchmarksBothStrategies) {
@@ -315,6 +448,27 @@ TEST(Symbolic, ExhaustedBudgetDegradesToUnknown) {
     EXPECT_EQ(p.depthReached, -1) << p.rule;
   }
   EXPECT_TRUE(sym.report.has("MDL008")) << renderText(sym.report);
+}
+
+TEST(Symbolic, ExhaustedBudgetAtPositiveDepthClosesUnknown) {
+  // With no conflicts to spend, depth 0 still refutes structurally, and the
+  // first query that needs a conflict -- the k = 1 induction step -- closes
+  // each property UNKNOWN instead of searching deeper.
+  const sched::ScheduledDfg s = fig2Scheduled();
+  const fsm::DistributedControlUnit dcu =
+      fsm::optimizeSignals(fsm::buildDistributed(s));
+  SymbolicCheckOptions options;
+  options.maxConflicts = 0;
+  const SymbolicArtifact sym = symbolicModelCheck(dcu, s, nullptr, options);
+  EXPECT_FALSE(sym.report.hasErrors()) << renderText(sym.report);
+  ASSERT_EQ(sym.stats.properties.size(), 5u);
+  for (const SymbolicProperty& p : sym.stats.properties) {
+    EXPECT_EQ(p.verdict, PropertyVerdict::Unknown) << p.rule;
+    EXPECT_EQ(p.depthReached, 0) << p.rule;
+    EXPECT_EQ(p.cost.queries, 2u) << p.rule;
+  }
+  const std::string summary = sym.report.withCode("MDL008").front().message;
+  EXPECT_NE(summary.find("0/5 proved"), std::string::npos) << summary;
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // (verify/xprop_check.hpp) and the don't-care soundness checker
 // (verify/dcs_check.hpp).
 //
-// Four families:
+// Five families:
 //   - clean sweeps: every paper benchmark under both binding strategies and
 //     both state encodings proves XPR001/XPR002 and DCS001/DCS002, and the
 //     composed fir_iir_loop proves XPR003 on top;
@@ -10,6 +10,8 @@
 //     without state reset, RTL latch without a reset arc, sequencer done
 //     latch without init, don't-care-abusing minimizer) is caught by exactly
 //     its rule, with a decodable per-cycle waveform;
+//   - budget: a DCS002 query that exhausts its conflict budget closes the
+//     row UNKNOWN without searching deeper;
 //   - determinism: verdicts and waveforms are bit-identical across thread
 //     counts;
 //   - caching: the XCheck artifact is served from the artifact cache on a
@@ -250,6 +252,30 @@ TEST(DcsMutation, DontCareAbusingMinimizerTripsDcs) {
   ASSERT_TRUE(report.has("DCS002")) << renderText(report);
   const std::string msg = report.withCode("DCS002").front().message;
   EXPECT_NE(msg.find("cycle 0: state="), std::string::npos) << msg;
+}
+
+TEST(DcsBudget, ExhaustedBudgetAtPositiveDepthClosesUnknown) {
+  // With no conflicts to spend, depth 0 refutes structurally (the initial
+  // state is a care row) and the k = 1 induction step, the first query that
+  // needs a conflict, closes DCS002 UNKNOWN: no deeper search, no
+  // certification.
+  const fsm::DistributedControlUnit dcu = fig2Dcu();
+  DcsOptions dco;
+  dco.maxConflicts = 0;
+  Report report;
+  const DcsStats stats = checkDcs(dcu, "dcu fig2", report, dco);
+  std::size_t rows = 0;
+  for (const XpropPropertyStat& p : stats.properties) {
+    if (p.rule != "DCS002") continue;
+    ++rows;
+    EXPECT_EQ(p.verdict, "UNKNOWN") << p.artifact;
+    EXPECT_EQ(p.depth, -1) << p.artifact;
+    EXPECT_EQ(p.cexCycle, -1) << p.artifact;
+    EXPECT_EQ(p.cost.queries, 2u) << p.artifact;
+  }
+  EXPECT_EQ(rows, dcu.controllers.size());
+  EXPECT_FALSE(report.has("DCS002")) << renderText(report);
+  EXPECT_FALSE(report.has("DCS003")) << renderText(report);
 }
 
 // ---- determinism -----------------------------------------------------------
