@@ -4,8 +4,12 @@
 // visible alongside the paper-table benches.
 #include <benchmark/benchmark.h>
 
+#include <random>
+#include <string>
+
 #include "common/parallel.hpp"
 #include "dfg/benchmarks.hpp"
+#include "dfg/random.hpp"
 #include "fsm/cent_sync.hpp"
 #include "fsm/distributed.hpp"
 #include "fsm/product.hpp"
@@ -90,13 +94,12 @@ sched::ScheduledDfg fir5Scheduled() {
                                 tau::paperLibrary());
 }
 
-// Naive-vs-incremental pair on the 5th-order FIR exact sweep over Table 2's
+// Naive-vs-production pair on the 5th-order FIR exact sweep over Table 2's
 // P column {0.9, 0.7, 0.5}, single thread: the brute-force reference
-// re-evaluates every mask from scratch per P with per-mask pow() weights and
-// a heap-allocated class vector; the production path enumerates the masks
-// once by Gray-code delta propagation and reweights the shared buffer per P
-// from the popcount weight table.  The ratio of these two is the
-// single-thread algorithmic speedup of this kernel.
+// re-evaluates every mask from scratch per P with a heap-allocated class
+// vector; the production path builds the exact makespan law once (frontier
+// DP) and weights it per P.  The ratio of these two is the single-thread
+// algorithmic speedup of this kernel.
 void BM_NaiveExactAverageFir5(benchmark::State& state) {
   const auto s = fir5Scheduled();
   const sim::MakespanEngine engine(s);
@@ -155,6 +158,74 @@ void BM_IncrementalExactAverage(benchmark::State& state) {
   common::setGlobalThreadCount(common::configuredThreadCount());
 }
 BENCHMARK(BM_IncrementalExactAverage)->Unit(benchmark::kMillisecond);
+
+// The exact Distributed law of a 24-TAU-op layered random graph (9 layers of
+// 4 ops, the largest design the exact path takes), built by the frontier DP
+// and by the Gray-code sweep over all 2^24 masks, single thread.  Their
+// ratio is the speedup of the DP over enumeration.
+sched::ScheduledDfg layeredRandom24() {
+  dfg::RandomDfgSpec spec;
+  spec.seed = 4;
+  spec.numLayers = 9;
+  spec.layerWidth = 4;
+  spec.mulPermille = 700;
+  return sched::scheduleAndBind(dfg::randomDfg(spec),
+                                {{dfg::ResourceClass::Multiplier, 2},
+                                 {dfg::ResourceClass::Adder, 1},
+                                 {dfg::ResourceClass::Subtractor, 1}},
+                                tau::paperLibrary());
+}
+
+void BM_FrontierDpHistogram(benchmark::State& state) {
+  const auto s = layeredRandom24();
+  const sim::MakespanEngine engine(s);
+  common::setGlobalThreadCount(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.frontierHistogram());
+  }
+  state.SetLabel(std::to_string(engine.numTauOps()) + " TAU ops");
+  common::setGlobalThreadCount(common::configuredThreadCount());
+}
+BENCHMARK(BM_FrontierDpHistogram)->Unit(benchmark::kMillisecond);
+
+void BM_GrayHistogram(benchmark::State& state) {
+  const auto s = layeredRandom24();
+  const sim::MakespanEngine engine(s);
+  common::setGlobalThreadCount(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim::distributedHistogramGray(engine));
+  }
+  state.SetLabel(std::to_string(engine.numTauOps()) + " TAU ops");
+  common::setGlobalThreadCount(common::configuredThreadCount());
+}
+BENCHMARK(BM_GrayHistogram)->Unit(benchmark::kMillisecond);
+
+// One Monte-Carlo mask of 28 TAU ops at P = 0.7: a std::mt19937_64 built
+// and twisted per sample feeding std::bernoulli_distribution, against
+// randomClassMask, which computes only the 28 engine outputs it needs.
+constexpr int kSampledTauOps = 28;
+
+void BM_SampleMaskStd(benchmark::State& state) {
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    std::mt19937_64 rng(seed++);
+    std::bernoulli_distribution sd(0.7);
+    std::uint64_t mask = 0;
+    for (int i = 0; i < kSampledTauOps; ++i) {
+      if (sd(rng)) mask |= std::uint64_t{1} << i;
+    }
+    benchmark::DoNotOptimize(mask);
+  }
+}
+BENCHMARK(BM_SampleMaskStd);
+
+void BM_SampleMask(benchmark::State& state) {
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim::randomClassMask(kSampledTauOps, 0.7, seed++));
+  }
+}
+BENCHMARK(BM_SampleMask);
 
 // Closed-form CentSync expectation: O(steps), so this stays flat no matter
 // how many TAU ops the design has (the enumerated version was O(2^n)).

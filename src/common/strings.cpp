@@ -47,6 +47,14 @@ bool isIdentifier(const std::string& s) {
   return true;
 }
 
+std::string identifierChars(const std::string& s) {
+  std::string out = s;
+  for (char& c : out) {
+    if (!(std::isalnum(static_cast<unsigned char>(c)) || c == '_')) c = '_';
+  }
+  return out;
+}
+
 std::string jsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);

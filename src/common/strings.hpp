@@ -18,6 +18,10 @@ std::vector<std::string> split(const std::string& s, char sep, bool keepEmpty = 
 /// True when `s` is a valid C-style identifier (letter/underscore start).
 bool isIdentifier(const std::string& s);
 
+/// `s` with every character outside [A-Za-z0-9_] replaced by '_': a legal
+/// identifier tail ("a-b" -> "a_b"); the caller supplies a leading letter.
+std::string identifierChars(const std::string& s);
+
 /// Escape `s` for embedding in a JSON string literal: quotes, backslashes,
 /// \n \r \t, and every other control character as \u00XX.
 std::string jsonEscape(const std::string& s);

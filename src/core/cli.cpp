@@ -464,8 +464,8 @@ int runCacheCommand(const CliOptions& options, std::ostream& out,
   }
 }
 
-/// Read `path` and derive the design name from its basename sans extension.
-std::string readDesign(const std::string& path, std::string& name) {
+/// Read and parse `path`; the design name is its basename sans extension.
+dfg::RegionProgram readDesign(const std::string& path, std::string& name) {
   std::ifstream in(path);
   TAUHLS_CHECK(static_cast<bool>(in), "cannot open " + path);
   std::ostringstream buffer;
@@ -477,7 +477,13 @@ std::string readDesign(const std::string& path, std::string& name) {
   if (auto dot = name.find_last_of('.'); dot != std::string::npos) {
     name = name.substr(0, dot);
   }
-  return buffer.str();
+  try {
+    return dfg::parseProgram(buffer.str(), name);
+  } catch (const dfg::ParseError& e) {
+    // The design is named after the file's stem; the diagnostic names the
+    // file itself.
+    throw dfg::ParseError(path, e.line(), e.detail());
+  }
 }
 
 /// Parse and validate `lint --only RULE[,RULE...]`; unknown codes are a CLI
@@ -583,8 +589,7 @@ int runLint(const CliOptions& options, std::ostream& out, std::ostream& err) {
       designs = dfg::paperTable2Suite();
     } else {
       std::string name;
-      const std::string text = readDesign(options.inputPath, name);
-      const dfg::RegionProgram program = dfg::parseProgram(text, name);
+      const dfg::RegionProgram program = readDesign(options.inputPath, name);
       if (!program.isFlat()) {
         return runLintHierarchical(options, program, name, out, err);
       }
@@ -774,8 +779,7 @@ int runCli(const CliOptions& options, std::ostream& out, std::ostream& err) {
 
   try {
     std::string name;
-    const std::string text = readDesign(options.inputPath, name);
-    const dfg::RegionProgram program = dfg::parseProgram(text, name);
+    const dfg::RegionProgram program = readDesign(options.inputPath, name);
     if (!program.isFlat()) {
       return runFlowHierarchical(options, program, name, out, err);
     }
@@ -816,7 +820,7 @@ int runCli(const CliOptions& options, std::ostream& out, std::ostream& err) {
       TAUHLS_CHECK(static_cast<bool>(tb),
                    "cannot open " + options.testbenchPath);
       tb << rtl::emitTestbench(r.distributed, trace,
-                               "dcu_" + graph.name());
+                               topModuleName(graph.name()));
       out << "wrote testbench to " << options.testbenchPath << "\n";
     }
     if (!options.jsonPath.empty()) {

@@ -1,5 +1,6 @@
 #include "core/flow.hpp"
 
+#include "common/strings.hpp"
 #include "core/pipeline.hpp"
 #include "rtl/verilog.hpp"
 
@@ -20,7 +21,11 @@ FlowResult runFlow(const dfg::Dfg& graph, const FlowConfig& config) {
 
 std::string emitVerilog(const FlowResult& result) {
   return rtl::emitPackage(result.distributed,
-                          "dcu_" + result.scheduled.graph.name());
+                          topModuleName(result.scheduled.graph.name()));
+}
+
+std::string topModuleName(const std::string& designName) {
+  return "dcu_" + identifierChars(designName);
 }
 
 }  // namespace tauhls::core

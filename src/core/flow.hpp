@@ -113,4 +113,9 @@ FlowResult runFlow(const dfg::Dfg& graph, const FlowConfig& config);
 /// for the flow's distributed control unit.
 std::string emitVerilog(const FlowResult& result);
 
+/// Verilog name of the top module for design `designName`: "dcu_" followed
+/// by the name with every character outside [A-Za-z0-9_] replaced by '_',
+/// so any design name (a file stem such as "a-b") gives a legal identifier.
+std::string topModuleName(const std::string& designName);
+
 }  // namespace tauhls::core

@@ -224,7 +224,7 @@ const std::vector<PassDef>& passRegistry() {
          io.out(Artifact::Rtl,
                 rtl::emitPackage(
                     io.in<fsm::DistributedControlUnit>(Artifact::Distributed),
-                    "dcu_" + io.graph.name()));
+                    topModuleName(io.graph.name())));
        }},
       {"equiv",
        {Artifact::Distributed},

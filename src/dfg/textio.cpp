@@ -25,8 +25,25 @@ std::optional<OpKind> kindForSymbol(const std::string& sym) {
   return std::nullopt;
 }
 
+/// Thrown by the parser internals; the public entry points turn it into a
+/// ParseError that names the source.
+struct ParseFailure {
+  int line;
+  std::string detail;
+};
+
 [[noreturn]] void parseError(int line, const std::string& msg) {
-  TAUHLS_FAIL("dfg parse error at line " + std::to_string(line) + ": " + msg);
+  throw ParseFailure{line, msg};
+}
+
+/// Runs one parse, reporting a ParseFailure as the ParseError of `source`.
+template <typename Parse>
+auto reportingParseErrors(const std::string& source, Parse&& parse) {
+  try {
+    return parse();
+  } catch (const ParseFailure& f) {
+    throw ParseError(source, f.line, f.detail);
+  }
 }
 
 NodeId lookup(const Dfg& g, const std::string& name, int line) {
@@ -127,11 +144,9 @@ std::vector<std::pair<int, std::string>> splitStatements(
   return stmts;
 }
 
-}  // namespace
-
-Dfg parseDfg(const std::string& text, const std::string& name) {
+Dfg parseFlat(const std::string& text, const std::string& name) {
   Dfg g(name);
-  std::vector<std::string> pendingOutputs;
+  std::vector<std::pair<int, std::string>> pendingOutputs;
   const auto resolve = [&g](const std::string& n, int ln) {
     return lookup(g, n, ln);
   };
@@ -145,7 +160,7 @@ Dfg parseDfg(const std::string& text, const std::string& name) {
         if (toks[0] == "in") {
           g.addInput(toks[i]);
         } else {
-          pendingOutputs.push_back(toks[i]);
+          pendingOutputs.emplace_back(ln, toks[i]);
         }
       }
       continue;
@@ -160,14 +175,16 @@ Dfg parseDfg(const std::string& text, const std::string& name) {
     }
     parseAssignment(g, toks, ln, stmt, resolve);
   }
-  for (const std::string& o : pendingOutputs) {
+  for (const auto& [ln, o] : pendingOutputs) {
     NodeId id = g.findByName(o);
-    if (id == kNoNode) TAUHLS_FAIL("dfg parse error: output '" + o + "' is undefined");
+    if (id == kNoNode) parseError(ln, "output '" + o + "' is undefined");
     g.markOutput(id);
   }
   g.validate();
   return g;
 }
+
+}  // namespace
 
 std::string printDfg(const Dfg& g) {
   std::ostringstream os;
@@ -456,9 +473,7 @@ void printRegion(std::ostringstream& os, const Region& r, int depth) {
   }
 }
 
-}  // namespace
-
-RegionProgram parseProgram(const std::string& text, const std::string& name) {
+RegionProgram parseRegions(const std::string& text, const std::string& name) {
   std::vector<BlockStmt> stmts;
   bool hierarchical = false;
   for (const auto& [ln, stmt] : splitStatements(text)) {
@@ -469,13 +484,30 @@ RegionProgram parseProgram(const std::string& text, const std::string& name) {
     // Block-free input stays on the flat front end bit-for-bit.
     RegionProgram p;
     p.name = name;
-    p.root = Region::leaf(parseDfg(text, name));
+    p.root = Region::leaf(parseFlat(text, name));
     const Dfg& body = p.root.body;
     for (NodeId i : body.inputIds()) p.inputs.push_back(body.node(i).name);
     for (NodeId o : body.outputs()) p.outputs.push_back(body.node(o).name);
     return p;
   }
   return ProgramParser(std::move(stmts), name).run();
+}
+
+}  // namespace
+
+ParseError::ParseError(const std::string& source, int line,
+                       const std::string& detail)
+    : Error(source + ": dfg parse error at line " + std::to_string(line) +
+            ": " + detail),
+      line_(line),
+      detail_(detail) {}
+
+Dfg parseDfg(const std::string& text, const std::string& name) {
+  return reportingParseErrors(name, [&] { return parseFlat(text, name); });
+}
+
+RegionProgram parseProgram(const std::string& text, const std::string& name) {
+  return reportingParseErrors(name, [&] { return parseRegions(text, name); });
 }
 
 std::string printProgram(const RegionProgram& program) {

@@ -32,12 +32,27 @@
 
 #include <string>
 
+#include "common/error.hpp"
 #include "dfg/region.hpp"
 
 namespace tauhls::dfg {
 
-/// Parse a flat DFG from the textual form above; throws tauhls::Error with a
-/// line-numbered message on malformed input.
+/// Malformed DFG or region-program text: an input diagnostic
+/// "<source>: dfg parse error at line <line>: <detail>", never an internal
+/// failure.
+class ParseError : public Error {
+ public:
+  ParseError(const std::string& source, int line, const std::string& detail);
+  int line() const { return line_; }
+  const std::string& detail() const { return detail_; }
+
+ private:
+  int line_;
+  std::string detail_;
+};
+
+/// Parse a flat DFG from the textual form above; throws ParseError naming
+/// `name` and the 1-based line on malformed input.
 Dfg parseDfg(const std::string& text, const std::string& name = "dfg");
 
 /// Serialize to the same textual form (round-trips through parseDfg).
@@ -46,7 +61,8 @@ std::string printDfg(const Dfg& g);
 /// Parse a region program.  Block-free input yields a flat single-leaf
 /// program wrapping exactly parseDfg's graph.  Leaf bodies are named
 /// `<name>_<path>` and every leaf definition is exported as a leaf output;
-/// structural validation is the caller's job (checkRegionProgram).
+/// structural validation is the caller's job (checkRegionProgram).  Throws
+/// ParseError on malformed input, as parseDfg does.
 RegionProgram parseProgram(const std::string& text,
                            const std::string& name = "program");
 

@@ -44,6 +44,10 @@ void randomClasses(const sched::ScheduledDfg& s,
 /// Seeded Bernoulli(p) sample as a bitmask over n TAU ops (bit i set => TAU
 /// op i is SD).  Draws the same mt19937_64(seed) Bernoulli sequence as
 /// randomClasses, so mask-native Monte-Carlo estimates match it bit-for-bit.
+/// Both samplers compute only the first n engine outputs (n <= 156) rather
+/// than seeding and twisting a whole 312-word std::mt19937_64; the draws
+/// equal std::mt19937_64 + std::bernoulli_distribution as libstdc++
+/// implements them.
 std::uint64_t randomClassMask(int n, double p, std::uint64_t seed);
 
 }  // namespace tauhls::sim

@@ -1,10 +1,8 @@
 #include "sim/distribution.hpp"
 
-#include <bit>
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 
 namespace tauhls::sim {
 
@@ -38,37 +36,13 @@ int LatencyDistribution::maxCycles() const {
 LatencyDistribution latencyDistribution(const sched::ScheduledDfg& s,
                                         ControlStyle style, double p) {
   TAUHLS_CHECK(p >= 0.0 && p <= 1.0, "P must lie in [0,1]");
-  const MakespanEngine engine(s);
-  const int n = engine.numTauOps();
-  TAUHLS_CHECK(n <= kMaxExactTauOps,
-               "exact distribution limited to 24 TAU ops");
-  std::vector<double> weights(static_cast<std::size_t>(n) + 1);
-  for (int c = 0; c <= n; ++c) {
-    weights[static_cast<std::size_t>(c)] =
-        std::pow(p, c) * std::pow(1.0 - p, n - c);
-  }
-  const std::uint64_t total = std::uint64_t{1} << n;
-  // The mass accumulation stays serial and in ascending mask order (the pmf
-  // buckets are tiny; evaluation dominates).  Only the Distributed makespans
-  // are produced by the Gray-code sweep, one chunk buffer at a time.
+  const MakespanHistogram h = makespanHistogram(s, style);
   LatencyDistribution dist;
-  const std::uint64_t chunkSize = total / common::chunkCountFor(total);
-  std::vector<int> cycles(static_cast<std::size_t>(chunkSize));
-  MakespanEngine::DistributedSweep sweep(engine);
-  for (std::uint64_t base = 0; base < total; base += chunkSize) {
-    if (style == ControlStyle::Distributed) {
-      sweep.evalChunk(base, chunkSize, cycles.data());
-    }
-    for (std::uint64_t off = 0; off < chunkSize; ++off) {
-      const std::uint64_t mask = base + off;
-      const double weight =
-          weights[static_cast<std::size_t>(std::popcount(mask))];
-      if (weight == 0.0) continue;
-      const int c = style == ControlStyle::Distributed
-                        ? cycles[off]
-                        : engine.syncCycles(mask);
-      dist.pmf[c] += weight;
-    }
+  for (const auto& [key, count] : h.buckets) {
+    const auto& [cycles, sdCount] = key;
+    const double mass = static_cast<double>(count) * std::pow(p, sdCount) *
+                        std::pow(1.0 - p, h.tauCount - sdCount);
+    if (mass != 0.0) dist.pmf[cycles] += mass;
   }
   return dist;
 }

@@ -1,10 +1,9 @@
 // Exact latency distributions.
 //
 // Table 2 reports only expected latencies; for real-time budgeting the full
-// probability mass function matters.  With <= 24 TAU ops the pmf over
-// makespan cycles is computed exactly by enumerating the 2^n operand-class
-// assignments with their Bernoulli(P) weights (Gray-code incremental sweep
-// for the Distributed style; per-step masks for CentSync).
+// probability mass function matters.  The pmf over makespan cycles is the
+// exact makespan law (sim/stats.hpp: makespanHistogram) with every bucket
+// weighted by its Bernoulli(P) probability.
 #pragma once
 
 #include <map>
@@ -24,7 +23,8 @@ struct LatencyDistribution {
   int maxCycles() const;
 };
 
-/// Exact pmf under `style` at SD-ratio `p`; requires <= 24 TAU ops.
+/// Exact pmf under `style` at SD-ratio `p`; the Distributed style requires
+/// <= 24 TAU ops.
 LatencyDistribution latencyDistribution(const sched::ScheduledDfg& s,
                                         ControlStyle style, double p);
 

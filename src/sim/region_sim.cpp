@@ -1,60 +1,9 @@
 #include "sim/region_sim.hpp"
 
-#include <algorithm>
-#include <bit>
-#include <cmath>
-
-#include "common/error.hpp"
-#include "common/parallel.hpp"
-#include "sim/makespan.hpp"
+#include <map>
+#include <string>
 
 namespace tauhls::sim {
-
-MakespanHistogram MakespanHistogram::unit() {
-  MakespanHistogram h;
-  h.buckets[{0, 0}] = 1;
-  return h;
-}
-
-MakespanHistogram makespanHistogram(const sched::ScheduledDfg& s,
-                                    ControlStyle style) {
-  const MakespanEngine engine(s);
-  const int n = engine.numTauOps();
-  TAUHLS_CHECK(n <= kMaxExactTauOps,
-               "exact histogram needs <= " + std::to_string(kMaxExactTauOps) +
-                   " TAU ops, got " + std::to_string(n));
-  const std::uint64_t total = std::uint64_t{1} << n;
-  const std::uint64_t numChunks = common::chunkCountFor(total);
-  const std::uint64_t perChunk = (total + numChunks - 1) / numChunks;
-
-  using Buckets = std::map<std::pair<int, int>, std::uint64_t>;
-  Buckets buckets = common::parallelReduce<Buckets>(
-      static_cast<std::size_t>(numChunks), Buckets{},
-      [&](std::size_t chunk) {
-        // One zero-allocation sweep per chunk; the buckets are integer
-        // counts, so the merge below is exact for any thread count.
-        MakespanEngine::DistributedSweep sweep(engine);
-        Buckets local;
-        const std::uint64_t lo = chunk * perChunk;
-        const std::uint64_t hi = std::min(total, lo + perChunk);
-        for (std::uint64_t mask = lo; mask < hi; ++mask) {
-          const int cycles = style == ControlStyle::Distributed
-                                 ? sweep.evalFull(mask)
-                                 : engine.syncCycles(mask);
-          ++local[{cycles, std::popcount(mask)}];
-        }
-        return local;
-      },
-      [](Buckets acc, Buckets part) {
-        for (const auto& [key, count] : part) acc[key] += count;
-        return acc;
-      });
-
-  MakespanHistogram h;
-  h.tauCount = n;
-  h.buckets = std::move(buckets);
-  return h;
-}
 
 MakespanHistogram convolveHistograms(const MakespanHistogram& a,
                                      const MakespanHistogram& b) {
@@ -66,37 +15,6 @@ MakespanHistogram convolveHistograms(const MakespanHistogram& a,
     }
   }
   return out;
-}
-
-double histogramAverageCycles(const MakespanHistogram& h, double p) {
-  // Walked in the map's sorted bucket order: equal histograms accumulate in
-  // the same order, so the result is bit-identical between the composed and
-  // flat-reference paths.
-  double sum = 0.0;
-  for (const auto& [key, count] : h.buckets) {
-    const auto& [cycles, sdCount] = key;
-    sum += static_cast<double>(count) * static_cast<double>(cycles) *
-           std::pow(p, sdCount) * std::pow(1.0 - p, h.tauCount - sdCount);
-  }
-  return sum;
-}
-
-int histogramBestCycles(const MakespanHistogram& h) {
-  TAUHLS_CHECK(!h.buckets.empty(), "empty makespan histogram");
-  int best = h.buckets.begin()->first.first;
-  for (const auto& [key, count] : h.buckets) {
-    best = std::min(best, key.first);
-  }
-  return best;
-}
-
-int histogramWorstCycles(const MakespanHistogram& h) {
-  TAUHLS_CHECK(!h.buckets.empty(), "empty makespan histogram");
-  int worst = h.buckets.begin()->first.first;
-  for (const auto& [key, count] : h.buckets) {
-    worst = std::max(worst, key.first);
-  }
-  return worst;
 }
 
 MakespanHistogram composedHistogram(const sched::RegionSchedule& rs,

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "common/strings.hpp"
 #include "netlist/build.hpp"
 #include "rtl/verilog.hpp"
 #include "verify/dfg_lint.hpp"
@@ -47,7 +48,8 @@ Report verifyFlow(const sched::ScheduledDfg& s,
 
   if (options.checkRtl) {
     const std::string package =
-        rtl::emitPackage(dcu, "tauhls_" + s.graph.name() + "_ctrl");
+        rtl::emitPackage(dcu,
+                         "tauhls_" + identifierChars(s.graph.name()) + "_ctrl");
     lintRtl(vsim::parseDesign(package), report);
   }
 

@@ -6,7 +6,9 @@
 
 #include "common/error.hpp"
 #include "core/cli.hpp"
+#include "core/flow.hpp"
 #include "testutil.hpp"
+#include "vsim/parser.hpp"
 
 namespace tauhls::core {
 namespace {
@@ -196,6 +198,57 @@ TEST_F(CliRun, WritesPipelineTrace) {
   EXPECT_NE(content.str().find("\"schedule\""), std::string::npos);
   EXPECT_NE(content.str().find("\"cache\""), std::string::npos);
   EXPECT_NE(out.str().find("wrote pipeline trace"), std::string::npos);
+}
+
+// A file stem that is not a Verilog identifier still names a legal top
+// module: the flow's verify pass and the emitted package both re-parse.
+TEST_F(CliRun, NonIdentifierDesignNameRunsTheRtlFlow) {
+  const std::string path = dir_ + "fir-3.dfg";
+  std::ofstream(path) << "in a, b, c, d\n"
+                         "m1 = a * b\n"
+                         "m2 = c * d\n"
+                         "s1 = m1 + m2\n"
+                         "out s1\n";
+  std::string error;
+  auto o = parseCli({"flow", path, "--verilog", dir_ + "fir-3.v"}, error);
+  ASSERT_TRUE(o.has_value()) << error;
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(runCli(*o, out, err), 0) << err.str();
+  std::ifstream v(dir_ + "fir-3.v");
+  std::stringstream rtl;
+  rtl << v.rdbuf();
+  const vsim::Design design = vsim::parseDesign(rtl.str());
+  EXPECT_NE(design.findModule("dcu_fir_3"), nullptr);
+  EXPECT_EQ(topModuleName("fir-3"), "dcu_fir_3");
+  EXPECT_EQ(topModuleName("diffeq"), "dcu_diffeq");
+}
+
+// Malformed DFG text is an input diagnostic naming the file and line, not
+// an internal failure.
+TEST_F(CliRun, MalformedDfgReportsFileAndLine) {
+  const std::string path = dir_ + "broken.dfg";
+  std::ofstream(path) << "in a\n"
+                         "x = a *\n"
+                         "out x\n";
+  CliOptions o;
+  o.inputPath = path;
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(runCli(o, out, err), 1);
+  EXPECT_NE(err.str().find(path + ": dfg parse error at line 2"), std::string::npos)
+      << err.str();
+  EXPECT_EQ(err.str().find("unreachable"), std::string::npos) << err.str();
+
+  std::ofstream(path) << "in a\n"
+                         "x = a + a\n"
+                         "out y\n";
+  std::ostringstream err2;
+  EXPECT_EQ(runCli(o, out, err2), 1);
+  EXPECT_NE(err2.str().find(path + ": dfg parse error at line 3: output 'y'"),
+            std::string::npos)
+      << err2.str();
+  EXPECT_EQ(err2.str().find("unreachable"), std::string::npos) << err2.str();
 }
 
 TEST_F(CliRun, MissingFileFails) {

@@ -207,6 +207,32 @@ TEST(TextIo, RejectsMalformedStatements) {
   EXPECT_THROW(parseDfg("out nothing\n"), Error);
 }
 
+// Parse failures are ParseErrors carrying the source name and line, for
+// flat and region text alike.
+TEST(TextIo, ParseErrorsNameSourceAndLine) {
+  for (const char* text : {"in a\nx = a *\n", "in a\nloop 2 {\nx = a *\n}\n",
+                           "in a\nx = a + a\n\nout y\n"}) {
+    try {
+      parseProgram(text, "design");
+      FAIL() << "expected throw for " << text;
+    } catch (const ParseError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.find("design: dfg parse error at line " +
+                          std::to_string(e.line())),
+                0u)
+          << what;
+      EXPECT_EQ(what.find("unreachable"), std::string::npos) << what;
+    }
+  }
+  try {
+    parseDfg("in a\n\nout y\n", "d");
+    FAIL() << "expected throw";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), 3);
+    EXPECT_EQ(e.detail(), "output 'y' is undefined");
+  }
+}
+
 class RandomDfgProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomDfgProperty, GeneratesValidAcyclicGraphs) {
