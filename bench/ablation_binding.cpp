@@ -2,8 +2,6 @@
 // (critical-path or mobility priority) versus the paper's §3
 // clique-cover/schedule-arc method, compared on
 // latency (best / avg P=0.5 / worst) and inserted arcs.
-#include <iomanip>
-#include <sstream>
 
 #include "bench_util.hpp"
 #include "sim/stats.hpp"
@@ -12,11 +10,6 @@ int main() {
   using namespace tauhls;
   bench::banner("Ablation D -- left-edge binding vs clique-cover scheduling");
 
-  auto fmt = [](double v) {
-    std::ostringstream os;
-    os << std::fixed << std::setprecision(2) << v;
-    return os.str();
-  };
 
   core::TextTable t({"DFG", "strategy", "sched arcs", "best cyc",
                      "avg cyc P=.5", "worst cyc"});
@@ -38,8 +31,9 @@ int main() {
       t.addRow({b.name, v.label, std::to_string(s.graph.scheduleArcs().size()),
                 std::to_string(
                     sim::bestCaseCycles(s, sim::ControlStyle::Distributed)),
-                fmt(sim::averageCyclesExact(s, sim::ControlStyle::Distributed,
-                                            0.5)),
+                bench::fixed(sim::averageCyclesExact(
+                                 s, sim::ControlStyle::Distributed, 0.5),
+                             2),
                 std::to_string(
                     sim::worstCaseCycles(s, sim::ControlStyle::Distributed))});
     }

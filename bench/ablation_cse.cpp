@@ -3,8 +3,6 @@
 // the duplication (as the paper's sources did).  This bench quantifies what
 // the paper-era flow leaves on the table: op counts and latencies with and
 // without tidy().
-#include <iomanip>
-#include <sstream>
 
 #include "bench_util.hpp"
 #include "dfg/transform.hpp"
@@ -13,11 +11,6 @@ int main() {
   using namespace tauhls;
   bench::banner("Ablation J -- DFG cleanup (CSE + DCE) before scheduling");
 
-  auto fmt = [](double v) {
-    std::ostringstream os;
-    os << std::fixed << std::setprecision(1) << v;
-    return os.str();
-  };
 
   core::TextTable t({"DFG", "ops", "ops (tidy)", "merged", "LT_DIST P=.7",
                      "LT_DIST P=.7 (tidy)", "gain"});
@@ -35,8 +28,9 @@ int main() {
     const double lt1 = after.latency.dist.averageNs[0];
     t.addRow({b.name, std::to_string(b.graph.numOps()),
               std::to_string(optimized.numOps()),
-              std::to_string(report.mergedOps), fmt(lt0), fmt(lt1),
-              fmt((lt0 - lt1) / lt0 * 100.0) + "%"});
+              std::to_string(report.mergedOps), bench::fixed(lt0, 1),
+              bench::fixed(lt1, 1),
+              bench::fixed((lt0 - lt1) / lt0 * 100.0, 1) + "%"});
   }
   std::cout << t.toString();
   std::cout << "\nShape: only Diff. carries redundancy (the duplicated u*dx "

@@ -4,9 +4,7 @@
 // register-transfer datapath whose telescopic multipliers classify their
 // actual operand values; the measured P and latency are compared with the
 // Bernoulli model evaluated at that same measured P.
-#include <iomanip>
 #include <random>
-#include <sstream>
 
 #include "bench_util.hpp"
 #include "datapath/engine.hpp"
@@ -20,11 +18,6 @@ int main() {
 
   const int width = 16;
   const int trials = 300;
-  auto fmt = [](double v) {
-    std::ostringstream os;
-    os << std::fixed << std::setprecision(2) << v;
-    return os.str();
-  };
 
   core::TextTable t({"DFG", "measured P", "datapath avg cyc",
                      "Bernoulli avg cyc", "gap"});
@@ -54,8 +47,9 @@ int main() {
     const double datapathAvg = cycleSum / trials;
     const double bernoulliAvg =
         sim::averageCyclesExact(s, sim::ControlStyle::Distributed, measuredP);
-    t.addRow({b.name, fmt(measuredP), fmt(datapathAvg), fmt(bernoulliAvg),
-              fmt(datapathAvg - bernoulliAvg)});
+    t.addRow({b.name, bench::fixed(measuredP, 2), bench::fixed(datapathAvg, 2),
+              bench::fixed(bernoulliAvg, 2),
+              bench::fixed(datapathAvg - bernoulliAvg, 2)});
   }
   std::cout << t.toString();
   std::cout << "\nShape: the Bernoulli abstraction tracks the value-accurate "

@@ -16,7 +16,6 @@
 //   ablation_p_sweep [--trace-json FILE]   chrome://tracing pass trace
 #include <chrono>
 #include <fstream>
-#include <iomanip>
 #include <sstream>
 
 #include "bench_util.hpp"
@@ -24,16 +23,6 @@
 #include "core/pipeline.hpp"
 #include "sim/stats.hpp"
 #include "tau/clocking.hpp"
-
-namespace {
-
-double wallMs(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace tauhls;
@@ -53,11 +42,6 @@ int main(int argc, char** argv) {
 
   const std::vector<double> ps = {0.95, 0.9, 0.8, 0.7, 0.6,
                                   0.5,  0.4, 0.3, 0.2, 0.1, 0.05};
-  auto fmt = [](double v) {
-    std::ostringstream os;
-    os << std::fixed << std::setprecision(1) << v;
-    return os.str();
-  };
 
   const auto suite = dfg::paperTable2Suite();
   auto perPointConfig = [&](std::size_t bi, double p) {
@@ -89,7 +73,7 @@ int main(int argc, char** argv) {
       traces[bi].push_back({runName.str(), pipeline.traceEvents()});
     }
   });
-  const double sweepMs = wallMs(sweepT0);
+  const double sweepMs = bench::wallMs(sweepT0);
 
   for (std::size_t bi = 0; bi < suite.size(); ++bi) {
     const dfg::NamedBenchmark& b = suite[bi];
@@ -101,15 +85,16 @@ int main(int argc, char** argv) {
         ccNs;
 
     std::cout << "--- " << b.name << " (conventional @ CC=" << ccNs
-              << "ns: " << fmt(conv) << " ns) ---\n";
+              << "ns: " << bench::fixed(conv, 1) << " ns) ---\n";
     core::TextTable t({"P", "LT_TAU", "LT_DIST", "enh", "vs conventional"});
     for (std::size_t i = 0; i < ps.size(); ++i) {
       const sim::LatencyComparison& cell = cells[bi][i];
       const double tau = cell.tau.averageNs[0];
       const double dist = cell.dist.averageNs[0];
-      t.addRow({fmt(ps[i]), fmt(tau), fmt(dist),
-                fmt(cell.enhancementPercent[0]) + "%",
-                fmt((conv - dist) / conv * 100.0) + "%"});
+      t.addRow({bench::fixed(ps[i], 1), bench::fixed(tau, 1),
+                bench::fixed(dist, 1),
+                bench::fixed(cell.enhancementPercent[0], 1) + "%",
+                bench::fixed((conv - dist) / conv * 100.0, 1) + "%"});
     }
     std::cout << t.toString() << "\n";
   }
@@ -118,7 +103,7 @@ int main(int argc, char** argv) {
                "the telescopic design beats the conventional clock whenever "
                "the average column stays below it -- the crossover P falls "
                "as designs get deeper.\n";
-  std::cout << "Sweep wall time: " << fmt(sweepMs) << " ms on "
+  std::cout << "Sweep wall time: " << bench::fixed(sweepMs, 1) << " ms on "
             << common::globalThreadPool().threadCount() << " threads.\n";
 
   // --- Pipeline accounting: the cache must have shared each benchmark's ---
@@ -180,7 +165,7 @@ int main(int argc, char** argv) {
     uncachedCells.push_back(
         core::runFlow(suite[study].graph, perPointConfig(study, p)).latency);
   }
-  const double uncachedMs = wallMs(uncachedT0);
+  const double uncachedMs = bench::wallMs(uncachedT0);
 
   const auto cachedT0 = std::chrono::steady_clock::now();
   auto studyCache = std::make_shared<core::ArtifactCache>();
@@ -190,7 +175,7 @@ int main(int argc, char** argv) {
                                 perPointConfig(study, p), studyCache);
     cachedCells.push_back(pipeline.run().latency);
   }
-  const double cachedMs = wallMs(cachedT0);
+  const double cachedMs = bench::wallMs(cachedT0);
 
   for (std::size_t i = 0; i < ps.size(); ++i) {
     if (cachedCells[i].dist.averageNs[0] != uncachedCells[i].dist.averageNs[0] ||
@@ -201,9 +186,10 @@ int main(int argc, char** argv) {
     }
   }
   std::cout << "Artifact-reuse speedup (" << suite[study].name
-            << ", 11-point per-P sweep): " << std::fixed
-            << std::setprecision(2) << uncachedMs / cachedMs << "x ("
-            << fmt(uncachedMs) << " ms uncached vs " << fmt(cachedMs)
+            << ", 11-point per-P sweep): "
+            << bench::fixed(uncachedMs / cachedMs, 2) << "x ("
+            << bench::fixed(uncachedMs, 1) << " ms uncached vs "
+            << bench::fixed(cachedMs, 1)
             << " ms through the shared cache), identical numbers.\n";
 
   if (!traceJsonPath.empty()) {

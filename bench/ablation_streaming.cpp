@@ -3,8 +3,6 @@
 // initiation interval over 64 iterations against the single-iteration
 // latency, for both P = 0.9 and P = 0.5, on every Table 2 benchmark.
 // (Upper-bound analysis; see sim/streaming.hpp for the latch-renewal caveat.)
-#include <iomanip>
-#include <sstream>
 
 #include "bench_util.hpp"
 #include "sim/stats.hpp"
@@ -14,11 +12,6 @@ int main() {
   using namespace tauhls;
   bench::banner("Ablation E -- streaming: initiation interval vs latency");
 
-  auto fmt = [](double v) {
-    std::ostringstream os;
-    os << std::fixed << std::setprecision(2) << v;
-    return os.str();
-  };
 
   core::TextTable t({"DFG", "P", "latency (cyc)", "II (cyc)", "overlap gain"});
   for (const dfg::NamedBenchmark& b : dfg::paperTable2Suite()) {
@@ -27,11 +20,10 @@ int main() {
       const double latency =
           sim::averageCyclesExact(s, sim::ControlStyle::Distributed, p);
       const sim::StreamingResult r = sim::streamingMakespanRandom(s, 64, p, 7);
-      std::ostringstream ps;
-      ps << std::fixed << std::setprecision(1) << p;
-      t.addRow({b.name, ps.str(), fmt(latency),
-                fmt(r.avgInitiationInterval),
-                fmt((latency - r.avgInitiationInterval) / latency * 100.0) +
+      t.addRow({b.name, bench::fixed(p, 1), bench::fixed(latency, 2),
+                bench::fixed(r.avgInitiationInterval, 2),
+                bench::fixed(
+                    (latency - r.avgInitiationInterval) / latency * 100.0, 2) +
                     "%"});
     }
   }

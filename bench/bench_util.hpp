@@ -1,9 +1,14 @@
 // Shared helpers for the bench binaries (paper-table regeneration harness).
 #pragma once
 
+#include <chrono>
+#include <fstream>
+#include <iomanip>
 #include <iostream>
+#include <sstream>
 #include <string>
 
+#include "common/json.hpp"
 #include "core/flow.hpp"
 #include "core/report.hpp"
 #include "dfg/benchmarks.hpp"
@@ -14,6 +19,34 @@ inline void banner(const std::string& title) {
   std::cout << "\n================================================================\n"
             << title
             << "\n================================================================\n\n";
+}
+
+/// Wall-clock milliseconds since `t0`.
+inline double wallMs(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// `v` with `decimals` digits after the point, as `std::fixed <<
+/// std::setprecision(decimals)` prints it.
+inline std::string fixed(double v, int decimals) {
+  std::ostringstream os;
+  os << std::fixed << std::setprecision(decimals) << v;
+  return os.str();
+}
+
+/// Write a finished BENCH_*.json document and a newline to `path` and say
+/// so on stdout; false (reported on stderr) when the file cannot be written.
+inline bool writeJson(const std::string& path, const JsonWriter& w) {
+  std::ofstream out(path, std::ios::trunc);
+  out << w.str() << "\n";
+  if (!out) {
+    std::cerr << "cannot write " << path << "\n";
+    return false;
+  }
+  std::cout << "wrote " << path << "\n";
+  return true;
 }
 
 /// The paper's Table 2 reference numbers (ns), for side-by-side printing.

@@ -1,7 +1,6 @@
 // Extension bench: full latency distributions (Table 2 reports only means).
 // Exact pmf over all 2^n operand classes; reports mean / p50 / p95 / worst
 // for both control styles -- what a real-time budget would look at.
-#include <iomanip>
 #include <sstream>
 
 #include "bench_util.hpp"
@@ -11,11 +10,6 @@ int main() {
   using namespace tauhls;
   bench::banner("Extension -- exact latency distributions at P = 0.7");
 
-  auto fmt = [](double v) {
-    std::ostringstream os;
-    os << std::fixed << std::setprecision(2) << v;
-    return os.str();
-  };
 
   core::TextTable t({"DFG", "style", "mean cyc", "p50", "p95", "worst",
                      "pmf support"});
@@ -29,12 +23,12 @@ int main() {
           sim::latencyDistribution(s, style, 0.7);
       std::ostringstream support;
       for (const auto& [cycles, prob] : d.pmf) {
-        support << cycles << ":" << std::fixed << std::setprecision(2) << prob
-                << " ";
+        support << cycles << ":" << bench::fixed(prob, 2) << " ";
       }
-      t.addRow({b.name, label, fmt(d.mean()), std::to_string(d.quantile(0.5)),
-                std::to_string(d.quantile(0.95)),
-                std::to_string(d.maxCycles()), support.str()});
+      t.addRow({b.name, label, bench::fixed(d.mean(), 2),
+                std::to_string(d.quantile(0.5)),
+                std::to_string(d.quantile(0.95)), std::to_string(d.maxCycles()),
+                support.str()});
     }
   }
   std::cout << t.toString();

@@ -8,7 +8,6 @@
 //   * fine 3-level completion detection vs a coarse detector that can only
 //     certify the first level (everything else waits the full 3 cycles) --
 //     quantifying what finer telescoping buys.
-#include <iomanip>
 #include <sstream>
 
 #include "bench_util.hpp"
@@ -25,11 +24,6 @@ int main() {
   lib10.registerType(
       tau::fixedUnit("subtractor", dfg::ResourceClass::Subtractor, 10));
 
-  auto fmt = [](double v) {
-    std::ostringstream os;
-    os << std::fixed << std::setprecision(2) << v;
-    return os.str();
-  };
 
   const std::vector<std::vector<double>> pmfs = {
       {0.7, 0.2, 0.1}, {0.5, 0.3, 0.2}, {0.3, 0.4, 0.3}, {0.1, 0.3, 0.6}};
@@ -58,9 +52,12 @@ int main() {
           vcau::averageCycles(s, coarse, vcau::ControlStyle::Distributed);
       std::ostringstream pmfText;
       pmfText << pmf[0] << "/" << pmf[1] << "/" << pmf[2];
-      t.addRow({b.name, pmfText.str(), fmt(dist), fmt(sync),
-                fmt((sync - dist) / sync * 100.0) + "%", fmt(coarseDist),
-                fmt((coarseDist - dist) / coarseDist * 100.0) + "%"});
+      t.addRow({b.name, pmfText.str(), bench::fixed(dist, 2),
+                bench::fixed(sync, 2),
+                bench::fixed((sync - dist) / sync * 100.0, 2) + "%",
+                bench::fixed(coarseDist, 2),
+                bench::fixed((coarseDist - dist) / coarseDist * 100.0, 2) +
+                    "%"});
     }
   }
   std::cout << t.toString();

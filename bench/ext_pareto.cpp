@@ -2,7 +2,6 @@
 // allocation" piece of the envisioned HLS tool).  Sweeps unit counts for
 // Diff. and AR-lattice, prints every point with its latency / implementation
 // cost, and marks the Pareto front.
-#include <iomanip>
 #include <sstream>
 
 #include "bench_util.hpp"
@@ -12,11 +11,6 @@ int main() {
   using namespace tauhls;
   bench::banner("Extension -- allocation Pareto exploration (P = 0.7)");
 
-  auto fmt = [](double v) {
-    std::ostringstream os;
-    os << std::fixed << std::setprecision(1) << v;
-    return os.str();
-  };
 
   for (auto [name, graph] : {std::pair{"Diff.", dfg::diffeq()},
                              std::pair{"AR-lattice", dfg::arLattice()}}) {
@@ -35,7 +29,7 @@ int main() {
               << count;
         first = false;
       }
-      t.addRow({alloc.str(), fmt(p.averageLatencyNs),
+      t.addRow({alloc.str(), bench::fixed(p.averageLatencyNs, 1),
                 std::to_string(p.controllerArea),
                 std::to_string(p.datapathRegisters),
                 std::to_string(p.unitCount),

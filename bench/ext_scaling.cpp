@@ -4,8 +4,6 @@
 // 8-point DCT) and reports latency enhancement and distributed-control cost
 // (controllers / FFs incl. completion latches) -- how the paper's scheme
 // behaves as designs grow past its original evaluation.
-#include <iomanip>
-#include <sstream>
 
 #include "bench_util.hpp"
 #include "common/parallel.hpp"
@@ -31,11 +29,6 @@ int main() {
   entries.push_back({dfg::dct8(),
                      {{RC::Multiplier, 3}, {RC::Adder, 2}, {RC::Subtractor, 2}}});
 
-  auto fmt = [](double v) {
-    std::ostringstream os;
-    os << std::fixed << std::setprecision(1) << v;
-    return os.str();
-  };
 
   core::TextTable t({"DFG", "ops", "alloc", "LT_TAU P=.7 (ns)",
                      "LT_DIST P=.7 (ns)", "enh", "ctrls", "FFs+latches"});
@@ -56,8 +49,9 @@ int main() {
               r.distributed.completionLatchCount();
     t.addRow({e.graph.name(), std::to_string(e.graph.numOps()),
               core::formatAllocation(r.scheduled),
-              fmt(r.latency.tau.averageNs[0]), fmt(r.latency.dist.averageNs[0]),
-              fmt(r.latency.enhancementPercent[0]) + "%",
+              bench::fixed(r.latency.tau.averageNs[0], 1),
+              bench::fixed(r.latency.dist.averageNs[0], 1),
+              bench::fixed(r.latency.enhancementPercent[0], 1) + "%",
               std::to_string(r.distributed.controllers.size()),
               std::to_string(ffs)});
   }

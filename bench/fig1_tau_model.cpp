@@ -4,8 +4,6 @@
 // and array multipliers under three operand distributions, with the
 // conservativeness contract (no false completion, ever) checked on every
 // trial.
-#include <iomanip>
-#include <sstream>
 
 #include "bench_util.hpp"
 #include "bitlevel/measure.hpp"
@@ -15,11 +13,6 @@ int main() {
   using bitlevel::OperandDistribution;
   bench::banner("Fig. 1 -- telescopic unit model: completion generators and P");
 
-  auto fmt = [](double v) {
-    std::ostringstream os;
-    os << std::fixed << std::setprecision(3) << v;
-    return os.str();
-  };
   const long trials = 100000;
 
   std::cout << "16-bit ripple adder, C = 1 iff no propagate run >= maxRun:\n";
@@ -31,7 +24,8 @@ int main() {
     auto l = measureAdderP(gen, OperandDistribution::LowMagnitude, trials);
     auto d = measureAdderP(gen, OperandDistribution::SmallDelta, trials);
     addT.addRow({std::to_string(maxRun), std::to_string(gen.shortDelayBound()),
-                 fmt(u.p), fmt(l.p), fmt(d.p),
+                 bench::fixed(u.p, 3), bench::fixed(l.p, 3),
+                 bench::fixed(d.p, 3),
                  std::to_string(u.falseCompletions + l.falseCompletions +
                                 d.falseCompletions)});
   }
@@ -46,7 +40,8 @@ int main() {
     auto l = measureMultiplierP(gen, OperandDistribution::LowMagnitude, trials);
     auto d = measureMultiplierP(gen, OperandDistribution::SmallDelta, trials);
     mulT.addRow({std::to_string(budget), std::to_string(gen.shortDelayBound()),
-                 fmt(u.p), fmt(l.p), fmt(d.p),
+                 bench::fixed(u.p, 3), bench::fixed(l.p, 3),
+                 bench::fixed(d.p, 3),
                  std::to_string(u.falseCompletions + l.falseCompletions +
                                 d.falseCompletions)});
   }

@@ -38,11 +38,8 @@
 //
 //   kernel_speed [--json FILE]
 #include <chrono>
-#include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -61,12 +58,6 @@ namespace {
 
 using namespace tauhls;
 
-double wallMs(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 std::vector<std::tuple<std::string, std::string, std::string>> verdictsOf(
     const verify::Report& report) {
   std::vector<std::tuple<std::string, std::string, std::string>> out;
@@ -74,12 +65,6 @@ std::vector<std::tuple<std::string, std::string, std::string>> verdictsOf(
     out.emplace_back(d.code, d.artifact, d.where);
   }
   return out;
-}
-
-std::string jsonNumber(double v) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(3) << v;
-  return os.str();
 }
 
 }  // namespace
@@ -125,7 +110,7 @@ int main(int argc, char** argv) {
   for (const auto& dcu : dcus) {
     naiveReports.push_back(verify::checkEquivalence(dcu, naiveOptions));
   }
-  const double naiveEquivMs = wallMs(tNaive);
+  const double naiveEquivMs = bench::wallMs(tNaive);
 
   // Optimized regime: bit-parallel expand + incremental engine.
   logic::setMinimizerImpl(logic::MinimizerImpl::Fast);
@@ -137,7 +122,7 @@ int main(int argc, char** argv) {
     optReports.push_back(verify::checkEquivalence(dcu, incOptions, &stats));
     optStats += stats;
   }
-  const double optEquivMs = wallMs(tOpt);
+  const double optEquivMs = bench::wallMs(tOpt);
 
   for (std::size_t i = 0; i < dcus.size(); ++i) {
     if (verdictsOf(optReports[i]) != verdictsOf(naiveReports[i])) {
@@ -165,7 +150,7 @@ int main(int argc, char** argv) {
       if (round == 0) kernelVerdicts.push_back(v);
     }
   }
-  const double kernelNaiveMs = wallMs(tKernelNaive) / kRounds;
+  const double kernelNaiveMs = bench::wallMs(tKernelNaive) / kRounds;
 
   verify::EquivStats kernelStats;
   const auto tKernelOpt = std::chrono::steady_clock::now();
@@ -183,7 +168,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  const double kernelOptMs = wallMs(tKernelOpt) / kRounds;
+  const double kernelOptMs = bench::wallMs(tKernelOpt) / kRounds;
 
   std::uint64_t simDischarged = 0;
   std::uint64_t satQueries = 0;
@@ -193,11 +178,11 @@ int main(int argc, char** argv) {
   }
   const double equivSpeedup =
       optEquivMs > 0.0 ? naiveEquivMs / optEquivMs : 0.0;
-  std::cout << "equivalence: naive " << jsonNumber(naiveEquivMs)
-            << " ms, optimized " << jsonNumber(optEquivMs) << " ms ("
-            << jsonNumber(equivSpeedup) << "x) end to end; proving kernel "
-            << jsonNumber(kernelNaiveMs) << " -> "
-            << jsonNumber(kernelOptMs) << " ms over " << kernelPairs
+  std::cout << "equivalence: naive " << bench::fixed(naiveEquivMs, 3)
+            << " ms, optimized " << bench::fixed(optEquivMs, 3) << " ms ("
+            << bench::fixed(equivSpeedup, 3) << "x) end to end; proving kernel "
+            << bench::fixed(kernelNaiveMs, 3) << " -> "
+            << bench::fixed(kernelOptMs, 3) << " ms over " << kernelPairs
             << " pairs, " << simDischarged << " sim-discharged, "
             << satQueries << " SAT queries\n";
 
@@ -221,7 +206,7 @@ int main(int argc, char** argv) {
     }
     referenceCycles.push_back(std::move(cycles));
   }
-  const double naiveSweepMs = wallMs(tRef);
+  const double naiveSweepMs = bench::wallMs(tRef);
 
   std::vector<std::vector<double>> sweepCycles;
   const auto tSweep = std::chrono::steady_clock::now();
@@ -230,7 +215,7 @@ int main(int argc, char** argv) {
     sweepCycles.push_back(sim::averageCyclesExactSweep(
         s, engine, sim::ControlStyle::Distributed, ps));
   }
-  const double optSweepMs = wallMs(tSweep);
+  const double optSweepMs = bench::wallMs(tSweep);
 
   bool sweepIdentical = true;
   for (std::size_t i = 0; i < schedules.size(); ++i) {
@@ -245,42 +230,44 @@ int main(int argc, char** argv) {
   }
   const double sweepSpeedup =
       optSweepMs > 0.0 ? naiveSweepMs / optSweepMs : 0.0;
-  std::cout << "sweep:       naive " << jsonNumber(naiveSweepMs)
-            << " ms, optimized " << jsonNumber(optSweepMs) << " ms ("
-            << jsonNumber(sweepSpeedup) << "x), " << totalTauOps
+  std::cout << "sweep:       naive " << bench::fixed(naiveSweepMs, 3)
+            << " ms, optimized " << bench::fixed(optSweepMs, 3) << " ms ("
+            << bench::fixed(sweepSpeedup, 3) << "x), " << totalTauOps
             << " TAU ops across " << schedules.size() << " schedules\n";
   std::cout << "Bit-identity: " << (ok ? "OK" : "FAILED") << "\n";
 
   std::size_t controllers = 0;
   for (const auto& dcu : dcus) controllers += dcu.controllers.size();
-  std::ostringstream js;
-  js << "{\"schema\":\"tauhls-bench-kernels\",\"version\":1,"
-     << "\"simdBackend\":\"" << common::simd::backendName() << "\","
-     << "\"structural\":{"
-     << "\"benchmarks\":" << suite.size()
-     << ",\"controllers\":" << controllers
-     << ",\"kernelPairs\":" << kernelPairs
-     << ",\"functionsCompared\":" << optStats.functionsCompared
-     << ",\"verdictsMatch\":" << (ok && sweepIdentical ? 1 : 0)
-     << ",\"sweepBitIdentical\":" << (sweepIdentical ? 1 : 0)
-     << ",\"sweepPoints\":" << schedules.size() * ps.size()
-     << ",\"totalTauOps\":" << totalTauOps << "}"
-     << ",\"timingsMs\":{"
-     << "\"equivalence\":{\"naive\":" << jsonNumber(naiveEquivMs)
-     << ",\"optimized\":" << jsonNumber(optEquivMs)
-     << ",\"speedup\":" << jsonNumber(equivSpeedup)
-     << ",\"provingKernelNaive\":" << jsonNumber(kernelNaiveMs)
-     << ",\"provingKernelOptimized\":" << jsonNumber(kernelOptMs) << "}"
-     << ",\"sweep\":{\"naive\":" << jsonNumber(naiveSweepMs)
-     << ",\"optimized\":" << jsonNumber(optSweepMs)
-     << ",\"speedup\":" << jsonNumber(sweepSpeedup) << "}}}";
-
-  std::ofstream out(jsonPath, std::ios::trunc);
-  out << js.str() << "\n";
-  if (!out) {
-    std::cerr << "cannot write " << jsonPath << "\n";
-    return 1;
-  }
-  std::cout << "wrote " << jsonPath << "\n";
+  JsonWriter w;
+  w.beginObject();
+  w.key("schema").value("tauhls-bench-kernels");
+  w.key("version").value(1);
+  w.key("simdBackend").value(common::simd::backendName());
+  w.key("structural").beginObject();
+  w.key("benchmarks").value(suite.size());
+  w.key("controllers").value(controllers);
+  w.key("kernelPairs").value(kernelPairs);
+  w.key("functionsCompared").value(optStats.functionsCompared);
+  w.key("verdictsMatch").value(ok && sweepIdentical ? 1 : 0);
+  w.key("sweepBitIdentical").value(sweepIdentical ? 1 : 0);
+  w.key("sweepPoints").value(schedules.size() * ps.size());
+  w.key("totalTauOps").value(totalTauOps);
+  w.endObject();
+  w.key("timingsMs").beginObject();
+  w.key("equivalence").beginObject();
+  w.key("naive").fixed(naiveEquivMs);
+  w.key("optimized").fixed(optEquivMs);
+  w.key("speedup").fixed(equivSpeedup);
+  w.key("provingKernelNaive").fixed(kernelNaiveMs);
+  w.key("provingKernelOptimized").fixed(kernelOptMs);
+  w.endObject();
+  w.key("sweep").beginObject();
+  w.key("naive").fixed(naiveSweepMs);
+  w.key("optimized").fixed(optSweepMs);
+  w.key("speedup").fixed(sweepSpeedup);
+  w.endObject();
+  w.endObject();
+  w.endObject();
+  if (!bench::writeJson(jsonPath, w)) return 1;
   return ok ? 0 : 1;
 }

@@ -29,11 +29,9 @@
 //   model_check_speed [--json FILE]
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -49,18 +47,6 @@
 namespace {
 
 using namespace tauhls;
-
-double wallMs(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-std::string jsonNumber(double v) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(3) << v;
-  return os.str();
-}
 
 /// Diagnostic codes both engines must agree on: everything except the
 /// explicit engine's bound warning and the symbolic engine's summary line.
@@ -113,7 +99,7 @@ int main(int argc, char** argv) {
     const auto t0 = std::chrono::steady_clock::now();
     verify::modelCheckControllers(dcus[i], schedules[i], centSyncs[i],
                                   explicitReports[i]);
-    explicitMs[i] = wallMs(t0);
+    explicitMs[i] = bench::wallMs(t0);
     explicitTotalMs += explicitMs[i];
   }
 
@@ -124,7 +110,7 @@ int main(int argc, char** argv) {
     const auto t0 = std::chrono::steady_clock::now();
     symbolic[i] = verify::symbolicModelCheck(dcus[i], schedules[i],
                                              &centSyncs[i]);
-    symbolicMs[i] = wallMs(t0);
+    symbolicMs[i] = bench::wallMs(t0);
     symbolicTotalMs += symbolicMs[i];
   }
 
@@ -167,59 +153,59 @@ int main(int argc, char** argv) {
     std::cout << std::left << std::setw(12) << suite[i].name << " "
               << stats.controllers << " controllers, " << stats.stateBits
               << " state bits, " << proved << "/" << stats.properties.size()
-              << " proved; explicit " << jsonNumber(explicitMs[i])
-              << " ms, symbolic " << jsonNumber(symbolicMs[i]) << " ms\n";
+              << " proved; explicit " << bench::fixed(explicitMs[i], 3)
+              << " ms, symbolic " << bench::fixed(symbolicMs[i], 3) << " ms\n";
   }
-  std::cout << "total: explicit " << jsonNumber(explicitTotalMs)
-            << " ms, symbolic " << jsonNumber(symbolicTotalMs) << " ms, "
+  std::cout << "total: explicit " << bench::fixed(explicitTotalMs, 3)
+            << " ms, symbolic " << bench::fixed(symbolicTotalMs, 3) << " ms, "
             << totalProved << "/" << totalProperties << " properties proved, "
             << totalQueries << " SAT queries, " << totalConflicts
             << " conflicts\n";
   std::cout << "Engine agreement: " << (ok ? "OK" : "FAILED") << "\n";
 
-  std::ostringstream js;
-  js << "{\"schema\":\"tauhls-bench-modelcheck\",\"version\":1,"
-     << "\"structural\":{"
-     << "\"benchmarks\":" << suite.size()
-     << ",\"propertiesProved\":" << totalProved
-     << ",\"properties\":" << totalProperties
-     << ",\"enginesAgree\":" << (ok ? 1 : 0) << ",\"perBenchmark\":{";
+  JsonWriter w;
+  w.beginObject();
+  w.key("schema").value("tauhls-bench-modelcheck");
+  w.key("version").value(1);
+  w.key("structural").beginObject();
+  w.key("benchmarks").value(suite.size());
+  w.key("propertiesProved").value(totalProved);
+  w.key("properties").value(totalProperties);
+  w.key("enginesAgree").value(ok ? 1 : 0);
+  w.key("perBenchmark").beginObject();
   for (std::size_t i = 0; i < suite.size(); ++i) {
     const verify::SymbolicStats& stats = symbolic[i].stats;
-    if (i) js << ",";
-    js << "\"" << suite[i].name << "\":{"
-       << "\"controllers\":" << stats.controllers
-       << ",\"stateBits\":" << stats.stateBits
-       << ",\"templateNodes\":" << stats.templateNodes
-       << ",\"invariantHolds\":" << (stats.invariantHolds ? 1 : 0)
-       << ",\"properties\":{";
-    for (std::size_t j = 0; j < stats.properties.size(); ++j) {
-      const verify::SymbolicProperty& p = stats.properties[j];
-      if (j) js << ",";
-      js << "\"" << p.rule << "\":{\"verdict\":\""
-         << verify::propertyVerdictName(p.verdict)
-         << "\",\"inductionK\":" << p.inductionK
-         << ",\"depthReached\":" << p.depthReached << "}";
+    w.key(suite[i].name).beginObject();
+    w.key("controllers").value(stats.controllers);
+    w.key("stateBits").value(stats.stateBits);
+    w.key("templateNodes").value(stats.templateNodes);
+    w.key("invariantHolds").value(stats.invariantHolds ? 1 : 0);
+    w.key("properties").beginObject();
+    for (const verify::SymbolicProperty& p : stats.properties) {
+      w.key(p.rule).beginObject();
+      w.key("verdict").value(verify::propertyVerdictName(p.verdict));
+      w.key("inductionK").value(p.inductionK);
+      w.key("depthReached").value(p.depthReached);
+      w.endObject();
     }
-    js << "}}";
+    w.endObject();
+    w.endObject();
   }
-  js << "}},\"timingsMs\":{\"explicitTotal\":" << jsonNumber(explicitTotalMs)
-     << ",\"symbolicTotal\":" << jsonNumber(symbolicTotalMs)
-     << ",\"perBenchmark\":{";
+  w.endObject();
+  w.endObject();
+  w.key("timingsMs").beginObject();
+  w.key("explicitTotal").fixed(explicitTotalMs);
+  w.key("symbolicTotal").fixed(symbolicTotalMs);
+  w.key("perBenchmark").beginObject();
   for (std::size_t i = 0; i < suite.size(); ++i) {
-    if (i) js << ",";
-    js << "\"" << suite[i].name << "\":{\"explicit\":"
-       << jsonNumber(explicitMs[i])
-       << ",\"symbolic\":" << jsonNumber(symbolicMs[i]) << "}";
+    w.key(suite[i].name).beginObject();
+    w.key("explicit").fixed(explicitMs[i]);
+    w.key("symbolic").fixed(symbolicMs[i]);
+    w.endObject();
   }
-  js << "}}}";
-
-  std::ofstream out(jsonPath, std::ios::trunc);
-  out << js.str() << "\n";
-  if (!out) {
-    std::cerr << "cannot write " << jsonPath << "\n";
-    return 1;
-  }
-  std::cout << "wrote " << jsonPath << "\n";
+  w.endObject();
+  w.endObject();
+  w.endObject();
+  if (!bench::writeJson(jsonPath, w)) return 1;
   return ok ? 0 : 1;
 }

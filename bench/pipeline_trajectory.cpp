@@ -26,11 +26,8 @@
 //   pipeline_trajectory [--json FILE] [--store DIR]
 #include <chrono>
 #include <filesystem>
-#include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <map>
-#include <sstream>
 
 #include "bench_util.hpp"
 #include "core/json.hpp"
@@ -42,12 +39,6 @@ namespace {
 namespace fs = std::filesystem;
 using namespace tauhls;
 using namespace tauhls::core;
-
-double wallMs(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 struct RegimeResult {
   CacheStats stats;
@@ -72,15 +63,9 @@ RegimeResult runSuite(const std::vector<dfg::NamedBenchmark>& suite,
       r.passUs[ev.pass] += ev.durationUs;
     }
   }
-  r.ms = wallMs(t0);
+  r.ms = bench::wallMs(t0);
   r.stats = cache->stats();
   return r;
-}
-
-std::string jsonNumber(double v) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(3) << v;
-  return os.str();
 }
 
 }  // namespace
@@ -132,9 +117,6 @@ int main(int argc, char** argv) {
   diskCache->attachStore(std::make_shared<ArtifactStore>(StoreOptions{dir, 0}));
   const RegimeResult warmDisk = runSuite(suite, diskCache);
 
-  const auto pct = [](const CacheStats& s) {
-    return jsonNumber(100.0 * s.hitRate());
-  };
   std::cout << "cold:        " << formatCacheSummary(cold.stats) << "\n"
             << "warm-memory: " << formatCacheSummary(warmMemDelta) << "\n"
             << "warm-disk:   " << formatCacheSummary(warmDisk.stats) << "\n"
@@ -160,43 +142,46 @@ int main(int argc, char** argv) {
   std::cout << "Bit-identity: " << (ok ? "OK" : "FAILED") << "\n";
 
   // Emit the trajectory JSON.
-  std::ostringstream js;
-  js << "{\"schema\":\"tauhls-bench-pipeline\",\"version\":1,"
-     << "\"benchmarks\":" << suite.size() << ",\"structural\":{";
-  js << "\"coldPassRuns\":{";
-  bool first = true;
+  JsonWriter w;
+  w.beginObject();
+  w.key("schema").value("tauhls-bench-pipeline");
+  w.key("version").value(1);
+  w.key("benchmarks").value(suite.size());
+  w.key("structural").beginObject();
+  w.key("coldPassRuns").beginObject();
   for (const auto& [pass, runs] : cold.stats.runsPerPass) {
-    js << (first ? "" : ",") << "\"" << pass << "\":" << runs;
-    first = false;
+    w.key(pass).value(runs);
   }
-  js << "},\"cold\":{\"runs\":" << cold.stats.misses
-     << ",\"hits\":" << cold.stats.hits << "}"
-     << ",\"warmMemory\":{\"hits\":" << warmMemDelta.hits
-     << ",\"misses\":" << warmMemDelta.misses << "}"
-     << ",\"warmDisk\":{\"hits\":" << warmDisk.stats.hits
-     << ",\"diskHits\":" << warmDisk.stats.diskHits
-     << ",\"misses\":" << warmDisk.stats.misses
-     << ",\"hitRatePct\":" << pct(warmDisk.stats) << "}"
-     << ",\"store\":{\"blobs\":" << storeStats.blobs
-     << ",\"bytes\":" << storeStats.bytes << "}"
-     << "},\"timingsMs\":{"
-     << "\"cold\":" << jsonNumber(cold.ms)
-     << ",\"warmMemory\":" << jsonNumber(warmMem.ms)
-     << ",\"warmDisk\":" << jsonNumber(warmDisk.ms) << ",\"coldPassMs\":{";
-  first = true;
-  for (const auto& [pass, us] : cold.passUs) {
-    js << (first ? "" : ",") << "\"" << pass << "\":" << jsonNumber(us / 1000.0);
-    first = false;
-  }
-  js << "}}}";
-
-  std::ofstream out(jsonPath, std::ios::trunc);
-  out << js.str() << "\n";
-  if (!out) {
-    std::cerr << "cannot write " << jsonPath << "\n";
-    return 1;
-  }
-  std::cout << "wrote " << jsonPath << "\n";
+  w.endObject();
+  w.key("cold").beginObject();
+  w.key("runs").value(cold.stats.misses);
+  w.key("hits").value(cold.stats.hits);
+  w.endObject();
+  w.key("warmMemory").beginObject();
+  w.key("hits").value(warmMemDelta.hits);
+  w.key("misses").value(warmMemDelta.misses);
+  w.endObject();
+  w.key("warmDisk").beginObject();
+  w.key("hits").value(warmDisk.stats.hits);
+  w.key("diskHits").value(warmDisk.stats.diskHits);
+  w.key("misses").value(warmDisk.stats.misses);
+  w.key("hitRatePct").fixed(100.0 * warmDisk.stats.hitRate());
+  w.endObject();
+  w.key("store").beginObject();
+  w.key("blobs").value(storeStats.blobs);
+  w.key("bytes").value(storeStats.bytes);
+  w.endObject();
+  w.endObject();
+  w.key("timingsMs").beginObject();
+  w.key("cold").fixed(cold.ms);
+  w.key("warmMemory").fixed(warmMem.ms);
+  w.key("warmDisk").fixed(warmDisk.ms);
+  w.key("coldPassMs").beginObject();
+  for (const auto& [pass, us] : cold.passUs) w.key(pass).fixed(us / 1000.0);
+  w.endObject();
+  w.endObject();
+  w.endObject();
+  if (!bench::writeJson(jsonPath, w)) return 1;
 
   if (storeDir.empty()) fs::remove_all(dir);
   return ok ? 0 : 1;

@@ -25,10 +25,8 @@
 //
 //   region_flow [--json FILE]
 #include <chrono>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -43,26 +41,14 @@ namespace {
 
 using namespace tauhls;
 
-double wallMs(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-std::string num3(double v) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(3) << v;
-  return os.str();
-}
-
-std::string latencyCells(const sim::LatencyRow& row) {
-  std::ostringstream os;
-  os << "{\"bestNs\":" << num3(row.bestNs) << ",\"averageNs\":[";
-  for (std::size_t i = 0; i < row.averageNs.size(); ++i) {
-    os << (i ? "," : "") << num3(row.averageNs[i]);
-  }
-  os << "],\"worstNs\":" << num3(row.worstNs) << "}";
-  return os.str();
+void writeLatencyCells(JsonWriter& w, const sim::LatencyRow& row) {
+  w.beginObject();
+  w.key("bestNs").fixed(row.bestNs);
+  w.key("averageNs").beginArray();
+  for (double ns : row.averageNs) w.fixed(ns);
+  w.endArray();
+  w.key("worstNs").fixed(row.worstNs);
+  w.endObject();
 }
 
 const char* strategyName(sched::BindingStrategy s) {
@@ -89,11 +75,20 @@ int main(int argc, char** argv) {
   const dfg::Allocation alloc = dfg::firIirLoopAllocation();
   bool ok = true;
 
-  std::ostringstream structural;
-  std::ostringstream timings;
-  structural << "\"benchmark\":\"fir_iir_loop\",\"perStrategy\":{";
-  bool firstStrategy = true;
+  JsonWriter w;
+  w.beginObject();
+  w.key("schema").value("tauhls-bench-regions");
+  w.key("version").value(1);
+  w.key("structural").beginObject();
+  w.key("benchmark").value("fir_iir_loop");
+  w.key("perStrategy").beginObject();
 
+  struct StageMs {
+    const char* strategy;
+    double flow;
+    double identity;
+  };
+  std::vector<StageMs> timings;
   double totalMs = 0.0;
   for (sched::BindingStrategy strategy :
        {sched::BindingStrategy::LeftEdge, sched::BindingStrategy::CliqueCover}) {
@@ -104,7 +99,7 @@ int main(int argc, char** argv) {
 
     const auto t0 = std::chrono::steady_clock::now();
     core::HierFlowResult r = core::runHierFlow(program, cfg);
-    const double flowMs = wallMs(t0);
+    const double flowMs = bench::wallMs(t0);
 
     // Composed == flat identity, over styles x branch choices.
     bool identical = true;
@@ -129,7 +124,7 @@ int main(int argc, char** argv) {
         }
       }
     }
-    const double identityMs = wallMs(t1);
+    const double identityMs = bench::wallMs(t1);
     totalMs += flowMs + identityMs;
 
     std::cout << std::left << std::setw(12) << strategyName(strategy)
@@ -139,46 +134,46 @@ int main(int argc, char** argv) {
               << " total states, " << r.totalTauOps
               << " TAU ops on trace; composed==flat "
               << (identical ? "OK" : "FAILED") << "; flow "
-              << num3(flowMs) << " ms, identity " << num3(identityMs)
+              << bench::fixed(flowMs, 3) << " ms, identity "
+              << bench::fixed(identityMs, 3)
               << " ms\n";
     std::cout << "  " << core::formatComposedTable2Row("fir_iir_loop", r);
 
-    structural << (firstStrategy ? "" : ",") << "\""
-               << strategyName(strategy) << "\":{"
-               << "\"regions\":" << r.schedule.leaves.size()
-               << ",\"activations\":" << r.activations.size()
-               << ",\"sequencerStates\":" << r.control.sequencer.numStates()
-               << ",\"totalStates\":" << r.control.totalStates()
-               << ",\"totalFlipFlops\":" << r.control.totalFlipFlops()
-               << ",\"completionLatches\":" << r.control.completionLatchCount()
-               << ",\"tauOpsOnTrace\":" << r.totalTauOps
-               << ",\"composedEqualsFlat\":" << (identical ? 1 : 0)
-               << ",\"ltTau\":" << latencyCells(r.latency.tau)
-               << ",\"ltDist\":" << latencyCells(r.latency.dist)
-               << ",\"enhancementPercent\":[";
-    for (std::size_t i = 0; i < r.latency.enhancementPercent.size(); ++i) {
-      structural << (i ? "," : "") << num3(r.latency.enhancementPercent[i]);
-    }
-    structural << "]}";
-    firstStrategy = false;
-
-    timings << (strategy == sched::BindingStrategy::LeftEdge ? "" : ",")
-            << "\"" << strategyName(strategy) << "\":{\"flow\":" << num3(flowMs)
-            << ",\"identity\":" << num3(identityMs) << "}";
+    w.key(strategyName(strategy)).beginObject();
+    w.key("regions").value(r.schedule.leaves.size());
+    w.key("activations").value(r.activations.size());
+    w.key("sequencerStates").value(r.control.sequencer.numStates());
+    w.key("totalStates").value(r.control.totalStates());
+    w.key("totalFlipFlops").value(r.control.totalFlipFlops());
+    w.key("completionLatches").value(r.control.completionLatchCount());
+    w.key("tauOpsOnTrace").value(r.totalTauOps);
+    w.key("composedEqualsFlat").value(identical ? 1 : 0);
+    w.key("ltTau");
+    writeLatencyCells(w, r.latency.tau);
+    w.key("ltDist");
+    writeLatencyCells(w, r.latency.dist);
+    w.key("enhancementPercent").beginArray();
+    for (double e : r.latency.enhancementPercent) w.fixed(e);
+    w.endArray();
+    w.endObject();
+    timings.push_back({strategyName(strategy), flowMs, identityMs});
   }
-  structural << "}";
+  w.endObject();
+  w.endObject();
+  w.key("timingsMs").beginObject();
+  for (const StageMs& t : timings) {
+    w.key(t.strategy).beginObject();
+    w.key("flow").fixed(t.flow);
+    w.key("identity").fixed(t.identity);
+    w.endObject();
+  }
+  w.key("total").fixed(totalMs);
+  w.endObject();
+  w.endObject();
 
-  std::cout << "total: " << num3(totalMs) << " ms; identity "
+  std::cout << "total: " << bench::fixed(totalMs, 3) << " ms; identity "
             << (ok ? "OK" : "FAILED") << "\n";
 
-  std::ostringstream js;
-  js << "{\"schema\":\"tauhls-bench-regions\",\"version\":1,"
-     << "\"structural\":{" << structural.str() << "},"
-     << "\"timingsMs\":{" << timings.str() << ",\"total\":" << num3(totalMs)
-     << "}}\n";
-  std::ofstream out(jsonPath);
-  out << js.str();
-  std::cout << "wrote " << jsonPath << "\n";
-
+  if (!bench::writeJson(jsonPath, w)) return 1;
   return ok ? 0 : 1;
 }

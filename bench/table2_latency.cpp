@@ -5,8 +5,6 @@
 // assignments (no sampling noise).  The paper's numbers are printed next to
 // ours; benchmark DFG topologies are reconstructions (DESIGN.md §4), so
 // absolute averages can differ a few percent while the win/loss shape holds.
-#include <iomanip>
-#include <sstream>
 
 #include "bench_util.hpp"
 #include "common/parallel.hpp"
@@ -19,11 +17,6 @@ int main() {
                "expectations over all operand classes ("
             << common::globalThreadPool().threadCount() << " threads).\n\n";
 
-  auto fmt = [](double v) {
-    std::ostringstream os;
-    os << std::fixed << std::setprecision(1) << v;
-    return os.str();
-  };
 
   core::TextTable table({"DFG", "Resources", "style", "best",
                          "avg P=.9", "avg P=.7", "avg P=.5", "worst",
@@ -50,18 +43,25 @@ int main() {
     const sim::LatencyRow& t = r.latency.tau;
     const sim::LatencyRow& d = r.latency.dist;
     table.addRow({b.name, core::formatAllocation(r.scheduled), "LT_TAU",
-                  fmt(t.bestNs), fmt(t.averageNs[0]), fmt(t.averageNs[1]),
-                  fmt(t.averageNs[2]), fmt(t.worstNs), "", "", ""});
-    table.addRow({"", "", "LT_DIST", fmt(d.bestNs), fmt(d.averageNs[0]),
-                  fmt(d.averageNs[1]), fmt(d.averageNs[2]), fmt(d.worstNs),
-                  fmt(r.latency.enhancementPercent[0]) + "%",
-                  fmt(r.latency.enhancementPercent[1]) + "%",
-                  fmt(r.latency.enhancementPercent[2]) + "%"});
+                  bench::fixed(t.bestNs, 1), bench::fixed(t.averageNs[0], 1),
+                  bench::fixed(t.averageNs[1], 1),
+                  bench::fixed(t.averageNs[2], 1), bench::fixed(t.worstNs, 1),
+                  "", "", ""});
+    table.addRow({"", "", "LT_DIST", bench::fixed(d.bestNs, 1),
+                  bench::fixed(d.averageNs[0], 1),
+                  bench::fixed(d.averageNs[1], 1),
+                  bench::fixed(d.averageNs[2], 1), bench::fixed(d.worstNs, 1),
+                  bench::fixed(r.latency.enhancementPercent[0], 1) + "%",
+                  bench::fixed(r.latency.enhancementPercent[1], 1) + "%",
+                  bench::fixed(r.latency.enhancementPercent[2], 1) + "%"});
     const bench::PaperTable2Ref& ref = bench::kPaperTable2[i];
-    table.addRow({"", "(paper)", "LT_TAU", fmt(ref.tauBest), fmt(ref.tauP9),
-                  fmt(ref.tauP7), fmt(ref.tauP5), fmt(ref.tauWorst), "", "", ""});
-    table.addRow({"", "(paper)", "LT_DIST", fmt(ref.distBest), fmt(ref.distP9),
-                  fmt(ref.distP7), fmt(ref.distP5), fmt(ref.distWorst),
+    table.addRow({"", "(paper)", "LT_TAU", bench::fixed(ref.tauBest, 1),
+                  bench::fixed(ref.tauP9, 1), bench::fixed(ref.tauP7, 1),
+                  bench::fixed(ref.tauP5, 1), bench::fixed(ref.tauWorst, 1), "",
+                  "", ""});
+    table.addRow({"", "(paper)", "LT_DIST", bench::fixed(ref.distBest, 1),
+                  bench::fixed(ref.distP9, 1), bench::fixed(ref.distP7, 1),
+                  bench::fixed(ref.distP5, 1), bench::fixed(ref.distWorst, 1),
                   "", "", ""});
   }
   std::cout << table.toString();

@@ -30,10 +30,8 @@
 //   xcheck_speed [--json FILE]
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -47,18 +45,6 @@
 namespace {
 
 using namespace tauhls;
-
-double wallMs(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-std::string jsonNumber(double v) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(3) << v;
-  return os.str();
-}
 
 struct Run {
   std::string bench;
@@ -111,14 +97,14 @@ int main(int argc, char** argv) {
       verify::Report report;
       auto t0 = std::chrono::steady_clock::now();
       run.xprop = verify::checkXprop(dcu, artifact, report, xo);
-      run.xpropMs = wallMs(t0);
+      run.xpropMs = bench::wallMs(t0);
       xpropTotalMs += run.xpropMs;
 
       verify::DcsOptions dco;
       dco.style = style;
       t0 = std::chrono::steady_clock::now();
       run.dcs = verify::checkDcs(dcu, artifact, report, dco);
-      run.dcsMs = wallMs(t0);
+      run.dcsMs = bench::wallMs(t0);
       dcsTotalMs += run.dcsMs;
 
       run.clean = !report.hasErrors();
@@ -149,58 +135,60 @@ int main(int argc, char** argv) {
                 << (run.xprop.stateBits + run.xprop.latchBits)
                 << " registers, reset depth " << run.xprop.resetDepth << ", "
                 << run.xprop.gateEvals << " gate evals; xprop "
-                << jsonNumber(run.xpropMs) << " ms, dcs "
-                << jsonNumber(run.dcsMs) << " ms\n";
+                << bench::fixed(run.xpropMs, 3) << " ms, dcs "
+                << bench::fixed(run.dcsMs, 3) << " ms\n";
       runs.push_back(std::move(run));
     }
   }
-  std::cout << "total: xprop " << jsonNumber(xpropTotalMs) << " ms, dcs "
-            << jsonNumber(dcsTotalMs) << " ms\n";
+  std::cout << "total: xprop " << bench::fixed(xpropTotalMs, 3) << " ms, dcs "
+            << bench::fixed(dcsTotalMs, 3) << " ms\n";
   std::cout << "X-safety: " << (ok ? "OK" : "FAILED") << "\n";
 
-  std::ostringstream js;
-  js << "{\"schema\":\"tauhls-bench-xcheck\",\"version\":2,"
-     << "\"structural\":{"
-     << "\"benchmarks\":" << suite.size() << ",\"runs\":" << runs.size()
-     << ",\"allProved\":" << (ok ? 1 : 0) << ",\"perRun\":{";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const Run& r = runs[i];
-    if (i) js << ",";
-    js << "\"" << r.bench << " " << r.encoding << "\":{"
-       << "\"controllers\":" << r.xprop.controllers
-       << ",\"registers\":" << (r.xprop.stateBits + r.xprop.latchBits)
-       << ",\"resetDepth\":" << r.xprop.resetDepth
-       << ",\"instances\":" << r.xprop.instances
-       << ",\"gateEvals\":" << r.xprop.gateEvals
-       << ",\"functionsChecked\":" << r.dcs.functionsChecked
-       << ",\"dcFunctions\":" << r.dcs.dcFunctions << ",\"rules\":{";
-    bool first = true;
+  JsonWriter w;
+  w.beginObject();
+  w.key("schema").value("tauhls-bench-xcheck");
+  w.key("version").value(2);
+  w.key("structural").beginObject();
+  w.key("benchmarks").value(suite.size());
+  w.key("runs").value(runs.size());
+  w.key("allProved").value(ok ? 1 : 0);
+  w.key("perRun").beginObject();
+  for (const Run& r : runs) {
+    w.key(r.bench + " " + r.encoding).beginObject();
+    w.key("controllers").value(r.xprop.controllers);
+    w.key("registers").value(r.xprop.stateBits + r.xprop.latchBits);
+    w.key("resetDepth").value(r.xprop.resetDepth);
+    w.key("instances").value(r.xprop.instances);
+    w.key("gateEvals").value(r.xprop.gateEvals);
+    w.key("functionsChecked").value(r.dcs.functionsChecked);
+    w.key("dcFunctions").value(r.dcs.dcFunctions);
+    w.key("rules").beginObject();
     for (const auto* props : {&r.xprop.properties, &r.dcs.properties}) {
       for (const verify::XpropPropertyStat& p : *props) {
-        if (!first) js << ",";
-        first = false;
-        js << "\"" << p.rule << " " << p.artifact << "\":{\"verdict\":\""
-           << p.verdict << "\",\"depth\":" << p.depth << "}";
+        w.key(p.rule + " " + p.artifact).beginObject();
+        w.key("verdict").value(p.verdict);
+        w.key("depth").value(p.depth);
+        w.endObject();
       }
     }
-    js << "}}";
+    w.endObject();
+    w.endObject();
   }
-  js << "}},\"timingsMs\":{\"xpropTotal\":" << jsonNumber(xpropTotalMs)
-     << ",\"dcsTotal\":" << jsonNumber(dcsTotalMs) << ",\"perRun\":{";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    if (i) js << ",";
-    js << "\"" << runs[i].bench << " " << runs[i].encoding
-       << "\":{\"xprop\":" << jsonNumber(runs[i].xpropMs)
-       << ",\"dcs\":" << jsonNumber(runs[i].dcsMs) << "}";
+  w.endObject();
+  w.endObject();
+  w.key("timingsMs").beginObject();
+  w.key("xpropTotal").fixed(xpropTotalMs);
+  w.key("dcsTotal").fixed(dcsTotalMs);
+  w.key("perRun").beginObject();
+  for (const Run& r : runs) {
+    w.key(r.bench + " " + r.encoding).beginObject();
+    w.key("xprop").fixed(r.xpropMs);
+    w.key("dcs").fixed(r.dcsMs);
+    w.endObject();
   }
-  js << "}}}";
-
-  std::ofstream out(jsonPath, std::ios::trunc);
-  out << js.str() << "\n";
-  if (!out) {
-    std::cerr << "cannot write " << jsonPath << "\n";
-    return 1;
-  }
-  std::cout << "wrote " << jsonPath << "\n";
+  w.endObject();
+  w.endObject();
+  w.endObject();
+  if (!bench::writeJson(jsonPath, w)) return 1;
   return ok ? 0 : 1;
 }

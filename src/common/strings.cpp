@@ -55,7 +55,7 @@ std::string identifierChars(const std::string& s) {
   return out;
 }
 
-std::string jsonEscape(const std::string& s) {
+std::string jsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
   for (const char c : s) {

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace tauhls {
@@ -24,7 +25,7 @@ std::string identifierChars(const std::string& s);
 
 /// Escape `s` for embedding in a JSON string literal: quotes, backslashes,
 /// \n \r \t, and every other control character as \u00XX.
-std::string jsonEscape(const std::string& s);
+std::string jsonEscape(std::string_view s);
 
 /// printf-style "%d"-free integer-to-string with fixed-width zero padding.
 std::string zeroPad(unsigned value, int width);

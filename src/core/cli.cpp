@@ -108,7 +108,7 @@ std::string cliHelp() {
       "                    e.g. XPR001,DCS002); filtered-out rules that\n"
       "                    fired are reported as skipped in the JSON\n"
       "  --lint-json FILE  also write all diagnostics as JSON\n"
-      "                    ({\"schema\":\"tauhls-lint\",\"version\":5} with\n"
+      "                    (schema \"tauhls-lint\", version 5, with\n"
       "                    per-rule counts, SAT cost, per-property symbolic\n"
       "                    and xprop verdicts, and skipped rules)\n"
       "  (--alloc, --strategy, --encoding, --no-signal-opt, --model-check,\n"

@@ -1,80 +1,11 @@
 #include "core/json.hpp"
 
-#include <sstream>
-
+#include "common/json.hpp"
 #include "core/report.hpp"
 
 namespace tauhls::core {
 
 namespace {
-
-class JsonWriter {
- public:
-  JsonWriter& key(const std::string& k) {
-    comma();
-    os_ << '"' << jsonEscape(k) << "\":";
-    pendingValue_ = true;
-    return *this;
-  }
-  JsonWriter& value(const std::string& v) {
-    comma();
-    os_ << '"' << jsonEscape(v) << '"';
-    return *this;
-  }
-  JsonWriter& value(double v) {
-    comma();
-    os_ << v;
-    return *this;
-  }
-  JsonWriter& value(int v) {
-    comma();
-    os_ << v;
-    return *this;
-  }
-  JsonWriter& value(bool v) {
-    comma();
-    os_ << (v ? "true" : "false");
-    return *this;
-  }
-  JsonWriter& beginObject() {
-    comma();
-    os_ << '{';
-    needComma_.push_back(false);
-    return *this;
-  }
-  JsonWriter& endObject() {
-    needComma_.pop_back();
-    os_ << '}';
-    return *this;
-  }
-  JsonWriter& beginArray() {
-    comma();
-    os_ << '[';
-    needComma_.push_back(false);
-    return *this;
-  }
-  JsonWriter& endArray() {
-    needComma_.pop_back();
-    os_ << ']';
-    return *this;
-  }
-  std::string str() const { return os_.str(); }
-
- private:
-  void comma() {
-    if (pendingValue_) {
-      pendingValue_ = false;
-      return;  // value follows its key without a comma
-    }
-    if (!needComma_.empty()) {
-      if (needComma_.back()) os_ << ',';
-      needComma_.back() = true;
-    }
-  }
-  std::ostringstream os_;
-  std::vector<bool> needComma_;
-  bool pendingValue_ = false;
-};
 
 void writeLatencyRow(JsonWriter& w, const sim::LatencyRow& row,
                      const std::vector<double>& ps) {

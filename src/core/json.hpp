@@ -1,6 +1,5 @@
 // JSON export of flow results, for downstream tooling (dashboards, report
-// diffs, CI trend tracking).  No external dependency: a minimal escaping
-// writer lives in the implementation.
+// diffs, CI trend tracking), written with the shared common/json writer.
 #pragma once
 
 #include <string>

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/parallel.hpp"
 #include "common/strings.hpp"
 #include "core/fingerprint.hpp"
@@ -599,36 +600,41 @@ void ArtifactCache::recordPass(const std::string& pass, CacheTier tier) {
 }
 
 std::string traceToChromeJson(const std::vector<TracedRun>& runs) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(3);
-  os << "{\"traceEvents\":[";
-  bool first = true;
-  auto comma = [&] {
-    if (!first) os << ",";
-    first = false;
-    os << "\n";
-  };
+  JsonWriter w;
+  w.beginObject();
+  w.key("traceEvents").beginArray();
   for (std::size_t r = 0; r < runs.size(); ++r) {
     const std::size_t pid = r + 1;
-    comma();
-    os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-       << ",\"tid\":0,\"args\":{\"name\":\"" << jsonEscape(runs[r].name)
-       << "\"}}";
+    w.beginObject();
+    w.key("name").value("process_name");
+    w.key("ph").value("M");
+    w.key("pid").value(pid);
+    w.key("tid").value(0);
+    w.key("args").beginObject();
+    w.key("name").value(runs[r].name);
+    w.endObject();
+    w.endObject();
     for (const PassTraceEvent& ev : runs[r].events) {
-      comma();
-      os << "{\"name\":\"" << ev.pass << "\",\"cat\":\"pass\",\"ph\":\"X\""
-         << ",\"pid\":" << pid << ",\"tid\":" << ev.lane
-         << ",\"ts\":" << ev.startUs << ",\"dur\":" << ev.durationUs
-         << ",\"args\":{\"cache\":\"" << cacheTierName(ev.tier)
-         << "\",\"wave\":" << ev.wave << ",\"size\":" << ev.artifactSize;
-      for (const auto& [key, value] : ev.extraArgs) {
-        os << ",\"" << key << "\":" << value;
-      }
-      os << "}}";
+      w.beginObject();
+      w.key("name").value(ev.pass);
+      w.key("cat").value("pass");
+      w.key("ph").value("X");
+      w.key("pid").value(pid);
+      w.key("tid").value(ev.lane);
+      w.key("ts").fixed(ev.startUs);
+      w.key("dur").fixed(ev.durationUs);
+      w.key("args").beginObject();
+      w.key("cache").value(cacheTierName(ev.tier));
+      w.key("wave").value(ev.wave);
+      w.key("size").value(ev.artifactSize);
+      for (const auto& [key, value] : ev.extraArgs) w.key(key).value(value);
+      w.endObject();
+      w.endObject();
     }
   }
-  os << "\n]}\n";
-  return os.str();
+  w.endArray();
+  w.endObject();
+  return w.str() + "\n";
 }
 
 FlowPipeline::FlowPipeline(const dfg::Dfg& graph, FlowConfig config,

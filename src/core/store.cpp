@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "core/serialize.hpp"
 
 namespace tauhls::core {
@@ -74,20 +75,23 @@ std::optional<common::Fingerprint> parseHex(const std::string& hex) {
 }  // namespace
 
 std::string renderStoreJson(const StoreStats& s) {
-  std::ostringstream os;
-  os << "{\"schema\":\"tauhls-store\",\"version\":" << kStoreJsonVersion
-     << ",\"formatVersion\":" << kStoreFormatVersion
-     << ",\"codecVersion\":" << kArtifactCodecVersion
-     << ",\"blobs\":" << s.blobs
-     << ",\"bytes\":" << s.bytes
-     << ",\"maxBytes\":" << s.maxBytes
-     << ",\"hits\":" << s.hits
-     << ",\"misses\":" << s.misses
-     << ",\"corrupt\":" << s.corrupt
-     << ",\"puts\":" << s.puts
-     << ",\"evictedBlobs\":" << s.evictedBlobs
-     << ",\"evictedBytes\":" << s.evictedBytes << "}";
-  return os.str();
+  JsonWriter w;
+  w.beginObject();
+  w.key("schema").value("tauhls-store");
+  w.key("version").value(kStoreJsonVersion);
+  w.key("formatVersion").value(kStoreFormatVersion);
+  w.key("codecVersion").value(kArtifactCodecVersion);
+  w.key("blobs").value(s.blobs);
+  w.key("bytes").value(s.bytes);
+  w.key("maxBytes").value(s.maxBytes);
+  w.key("hits").value(s.hits);
+  w.key("misses").value(s.misses);
+  w.key("corrupt").value(s.corrupt);
+  w.key("puts").value(s.puts);
+  w.key("evictedBlobs").value(s.evictedBlobs);
+  w.key("evictedBytes").value(s.evictedBytes);
+  w.endObject();
+  return w.str();
 }
 
 ArtifactStore::ArtifactStore(StoreOptions options)

@@ -183,13 +183,6 @@ int histogramWorstCycles(const MakespanHistogram& h) {
   return h.buckets.rbegin()->first.first;
 }
 
-int makespanCycles(const sched::ScheduledDfg& s, ControlStyle style,
-                   const OperandClasses& classes) {
-  return style == ControlStyle::Distributed
-             ? distributedMakespanCycles(s, classes)
-             : syncMakespanCycles(s, classes);
-}
-
 int bestCaseCycles(const MakespanEngine& engine, ControlStyle style) {
   return style == ControlStyle::Distributed ? engine.bestDistributedCycles()
                                             : engine.bestSyncCycles();
@@ -396,52 +389,6 @@ LatencyComparison compareLatencies(const sched::ScheduledDfg& s,
       out.dist.averageNs[i] = est.mean * s.clockNs;
       if (mcInfo != nullptr) (*mcInfo)[i] = est;
     }
-  }
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    const double tau = out.tau.averageNs[i];
-    const double dist = out.dist.averageNs[i];
-    out.enhancementPercent.push_back(tau > 0.0 ? (tau - dist) / tau * 100.0
-                                               : 0.0);
-  }
-  return out;
-}
-
-LatencyComparison compareLatencies(const sched::ScheduledDfg& s,
-                                   const std::vector<double>& ps,
-                                   int mcSamples) {
-  // One engine serves every (style, P) cell of the sweep -- the schedule,
-  // binding and topological bookkeeping are built once, not per point.
-  const MakespanEngine engine(s);
-  // Exact-vs-MC is picked per style: CentSync is closed-form (always exact);
-  // Distributed weights its exact law up to the 24-TAU-op cap.
-  const bool exactDist = engine.numTauOps() <= kMaxExactTauOps;
-  LatencyComparison out;
-  out.ps = ps;
-  out.tau.bestNs = engine.bestSyncCycles() * s.clockNs;
-  out.tau.worstNs = engine.worstSyncCycles() * s.clockNs;
-  out.dist.bestNs = engine.bestDistributedCycles() * s.clockNs;
-  out.dist.worstNs = engine.worstDistributedCycles() * s.clockNs;
-  out.tau.averageNs.resize(ps.size());
-  out.dist.averageNs.resize(ps.size());
-  // LT_TAU column: closed form, O(steps) per P.
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    out.tau.averageNs[i] = engine.syncExpectedCycles(ps[i]) * s.clockNs;
-  }
-  // LT_DIST column: one exact law reweighted per P when exact;
-  // independent Monte-Carlo cells fanned out otherwise.
-  if (exactDist) {
-    const std::vector<double> cycles =
-        averageCyclesExactSweep(s, engine, ControlStyle::Distributed, ps);
-    for (std::size_t i = 0; i < ps.size(); ++i) {
-      out.dist.averageNs[i] = cycles[i] * s.clockNs;
-    }
-  } else {
-    common::parallelFor(ps.size(), [&](std::size_t i) {
-      out.dist.averageNs[i] =
-          averageCyclesMonteCarlo(s, engine, ControlStyle::Distributed, ps[i],
-                                  mcSamples) *
-          s.clockNs;
-    });
   }
   for (std::size_t i = 0; i < ps.size(); ++i) {
     const double tau = out.tau.averageNs[i];

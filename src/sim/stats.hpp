@@ -41,10 +41,6 @@ enum class ControlStyle {
 /// closed-form and uncapped); past it the Distributed column is sampled.
 inline constexpr int kMaxExactTauOps = 24;
 
-/// Makespan in cycles under `style` for a specific class assignment.
-int makespanCycles(const sched::ScheduledDfg& s, ControlStyle style,
-                   const OperandClasses& classes);
-
 /// Best case: every TAU op in the SD class.
 int bestCaseCycles(const sched::ScheduledDfg& s, ControlStyle style);
 /// Worst case: every TAU op in the LD class.
@@ -133,13 +129,6 @@ struct LatencyComparison {
   std::vector<double> enhancementPercent;  ///< (tau - dist) / tau * 100, per P
 };
 
-/// Compute the comparison.  The CentSync row is always closed-form exact;
-/// the Distributed row weights the exact law up to 24 TAU ops and falls
-/// back to Monte-Carlo with `mcSamples` samples beyond.
-LatencyComparison compareLatencies(const sched::ScheduledDfg& s,
-                                   const std::vector<double>& ps,
-                                   int mcSamples = 20000);
-
 /// A seeded confidence-interval Monte-Carlo estimate: mean cycles, the 95%
 /// CI half-width around it, and how many samples were spent to get there.
 struct McEstimate {
@@ -148,7 +137,7 @@ struct McEstimate {
   std::uint64_t samples = 0;
 };
 
-/// Crossover policy of the adaptive compareLatencies overload.
+/// Crossover policy of compareLatencies.
 struct LatencyOptions {
   /// TAU-op count up to which the Distributed column is exact; beyond it
   /// the adaptive Monte-Carlo estimator takes over.
@@ -174,14 +163,15 @@ McEstimate averageCyclesMonteCarloAdaptive(const sched::ScheduledDfg& s,
                                            ControlStyle style, double p,
                                            const LatencyOptions& options = {});
 
-/// Adaptive exact<->MC crossover: the exact law up to
-/// `options.exactCap` TAU ops, the confidence-interval Monte-Carlo estimator
-/// beyond it.  With default options and <= 24 TAU ops this is bit-identical
-/// to the legacy compareLatencies above.  When `mcInfo` is non-null it
-/// receives one entry per P (empty estimates when the exact path ran).
+/// Compute the comparison with an exact<->MC crossover.  The CentSync row
+/// is always closed-form exact; the Distributed row weights the exact law up
+/// to `options.exactCap` (at most kMaxExactTauOps) TAU ops and uses the
+/// confidence-interval Monte-Carlo estimator beyond it.  When `mcInfo` is
+/// non-null it receives one entry per P (empty estimates when the exact path
+/// ran).
 LatencyComparison compareLatencies(const sched::ScheduledDfg& s,
                                    const std::vector<double>& ps,
-                                   const LatencyOptions& options,
+                                   const LatencyOptions& options = {},
                                    std::vector<McEstimate>* mcInfo = nullptr);
 
 }  // namespace tauhls::sim

@@ -6,7 +6,7 @@
 
 #include "aig/sat.hpp"
 #include "common/error.hpp"
-#include "common/strings.hpp"
+#include "common/json.hpp"
 
 namespace tauhls::verify {
 
@@ -233,109 +233,86 @@ RuleCost satQueryCost(const aig::SatStats& s) {
   return c;
 }
 
-std::string renderJson(const Report& report) {
-  return renderJson(report, JsonSections{});
-}
-
-std::string renderJson(const Report& report,
-                       const std::map<std::string, RuleCost>& satCost) {
-  return renderJson(report, satCost, {});
-}
-
-std::string renderJson(const Report& report,
-                       const std::map<std::string, RuleCost>& satCost,
-                       const std::vector<SymbolicPropertyStat>& symbolic) {
-  JsonSections sections;
-  sections.satCost = satCost;
-  sections.symbolic = symbolic;
-  return renderJson(report, sections);
-}
-
 std::string renderJson(const Report& report, const JsonSections& sections) {
-  const std::map<std::string, RuleCost>& satCost = sections.satCost;
-  const std::vector<SymbolicPropertyStat>& symbolic = sections.symbolic;
-  std::ostringstream os;
-  os << "{\"schema\":\"tauhls-lint\",\"version\":" << kLintJsonVersion
-     << ",\"diagnostics\":[";
-  bool first = true;
+  JsonWriter w;
+  w.beginObject();
+  w.key("schema").value("tauhls-lint");
+  w.key("version").value(kLintJsonVersion);
+  w.key("diagnostics").beginArray();
   for (const Diagnostic& d : report.diagnostics()) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"code\":\"" << jsonEscape(d.code) << "\",\"severity\":\""
-       << jsonEscape(severityName(d.severity)) << "\",\"artifact\":\""
-       << jsonEscape(d.artifact) << "\",\"where\":\"" << jsonEscape(d.where)
-       << "\",\"message\":\"" << jsonEscape(d.message) << "\"}";
+    w.beginObject();
+    w.key("code").value(d.code);
+    w.key("severity").value(severityName(d.severity));
+    w.key("artifact").value(d.artifact);
+    w.key("where").value(d.where);
+    w.key("message").value(d.message);
+    w.endObject();
   }
+  w.endArray();
   // Per-rule counts keyed by code, sorted, so CI artifacts diff cleanly
   // across runs and PRs.
   std::map<std::string, std::size_t> byRule;
   for (const Diagnostic& d : report.diagnostics()) ++byRule[d.code];
-  os << "],\"byRule\":{";
-  first = true;
-  for (const auto& [code, n] : byRule) {
-    if (!first) os << ",";
-    first = false;
-    os << '"' << jsonEscape(code) << "\":" << n;
+  w.key("byRule").beginObject();
+  for (const auto& [code, n] : byRule) w.key(code).value(n);
+  w.endObject();
+  w.key("satCost").beginObject();
+  for (const auto& [code, cost] : sections.satCost) {
+    w.key(code).beginObject();
+    w.key("queries").value(cost.queries);
+    w.key("simDischarged").value(cost.simDischarged);
+    w.key("decisions").value(cost.decisions);
+    w.key("propagations").value(cost.propagations);
+    w.key("conflicts").value(cost.conflicts);
+    w.key("learned").value(cost.learned);
+    w.key("restarts").value(cost.restarts);
+    w.endObject();
   }
-  os << "},\"satCost\":{";
-  first = true;
-  for (const auto& [code, cost] : satCost) {
-    if (!first) os << ",";
-    first = false;
-    os << '"' << jsonEscape(code) << "\":{\"queries\":" << cost.queries
-       << ",\"simDischarged\":" << cost.simDischarged
-       << ",\"decisions\":" << cost.decisions
-       << ",\"propagations\":" << cost.propagations
-       << ",\"conflicts\":" << cost.conflicts
-       << ",\"learned\":" << cost.learned
-       << ",\"restarts\":" << cost.restarts << "}";
-  }
+  w.endObject();
   // Per-property symbolic model-check verdicts (schema v4), in engine order
   // (per network, then per rule) so CI artifacts diff cleanly.
-  os << "},\"symbolic\":[";
-  first = true;
-  for (const SymbolicPropertyStat& p : symbolic) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"artifact\":\"" << jsonEscape(p.artifact)
-       << "\",\"rule\":\"" << jsonEscape(p.rule)
-       << "\",\"verdict\":\"" << jsonEscape(p.verdict)
-       << "\",\"depthReached\":" << p.depthReached
-       << ",\"inductionK\":" << p.inductionK
-       << ",\"conflicts\":" << p.cost.conflicts
-       << ",\"propagations\":" << p.cost.propagations
-       << ",\"decisions\":" << p.cost.decisions
-       << ",\"queries\":" << p.cost.queries << "}";
+  w.key("symbolic").beginArray();
+  for (const SymbolicPropertyStat& p : sections.symbolic) {
+    w.beginObject();
+    w.key("artifact").value(p.artifact);
+    w.key("rule").value(p.rule);
+    w.key("verdict").value(p.verdict);
+    w.key("depthReached").value(p.depthReached);
+    w.key("inductionK").value(p.inductionK);
+    w.key("conflicts").value(p.cost.conflicts);
+    w.key("propagations").value(p.cost.propagations);
+    w.key("decisions").value(p.cost.decisions);
+    w.key("queries").value(p.cost.queries);
+    w.endObject();
   }
+  w.endArray();
   // Per-property X-propagation / don't-care-soundness verdicts (schema v5),
   // in engine order so CI artifacts diff cleanly.
-  os << "],\"xprop\":[";
-  first = true;
+  w.key("xprop").beginArray();
   for (const XpropPropertyStat& p : sections.xprop) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"artifact\":\"" << jsonEscape(p.artifact)
-       << "\",\"rule\":\"" << jsonEscape(p.rule)
-       << "\",\"verdict\":\"" << jsonEscape(p.verdict)
-       << "\",\"depth\":" << p.depth
-       << ",\"cexCycle\":" << p.cexCycle << ",\"instances\":" << p.instances
-       << ",\"gateEvals\":" << p.gateEvals
-       << ",\"conflicts\":" << p.cost.conflicts
-       << ",\"queries\":" << p.cost.queries << "}";
+    w.beginObject();
+    w.key("artifact").value(p.artifact);
+    w.key("rule").value(p.rule);
+    w.key("verdict").value(p.verdict);
+    w.key("depth").value(p.depth);
+    w.key("cexCycle").value(p.cexCycle);
+    w.key("instances").value(p.instances);
+    w.key("gateEvals").value(p.gateEvals);
+    w.key("conflicts").value(p.cost.conflicts);
+    w.key("queries").value(p.cost.queries);
+    w.endObject();
   }
+  w.endArray();
   // Rules the user filtered out with `lint --only`, sorted for stable diffs.
   std::vector<std::string> skipped = sections.skipped;
   std::sort(skipped.begin(), skipped.end());
-  os << "],\"skipped\":[";
-  first = true;
-  for (const std::string& code : skipped) {
-    if (!first) os << ",";
-    first = false;
-    os << '"' << jsonEscape(code) << '"';
-  }
-  os << "],\"errors\":" << report.errorCount()
-     << ",\"warnings\":" << report.count(Severity::Warning) << "}";
-  return os.str();
+  w.key("skipped").beginArray();
+  for (const std::string& code : skipped) w.value(code);
+  w.endArray();
+  w.key("errors").value(report.errorCount());
+  w.key("warnings").value(report.count(Severity::Warning));
+  w.endObject();
+  return w.str();
 }
 
 }  // namespace tauhls::verify

@@ -174,19 +174,10 @@ struct JsonSections {
 
 /// Machine rendering: {"schema":"tauhls-lint","version":N,
 /// "diagnostics":[{code,severity,artifact,where,message}],
-/// "byRule":{code:count,...},"satCost":{code:{decisions,...},...},
-/// "errors":N,"warnings":N} -- consumed by CI trend tracking.
-std::string renderJson(const Report& report);
-/// As above with the per-rule work counters filled in (sorted by code).
-std::string renderJson(const Report& report,
-                       const std::map<std::string, RuleCost>& satCost);
-/// As above with the per-property symbolic model-check rows appended as a
-/// "symbolic" array (lint schema v4; empty vector emits an empty array).
-std::string renderJson(const Report& report,
-                       const std::map<std::string, RuleCost>& satCost,
-                       const std::vector<SymbolicPropertyStat>& symbolic);
-/// Full schema v5 rendering: every section of `sections`, including the
-/// "xprop" property rows and the "skipped" rule list.
-std::string renderJson(const Report& report, const JsonSections& sections);
+/// "byRule":{code:count,...},"satCost":{code:{queries,...},...},
+/// "symbolic":[...],"xprop":[...],"skipped":[...],"errors":N,"warnings":N}
+/// -- consumed by CI trend tracking.  Sections left empty in `sections`
+/// render as empty objects/arrays.
+std::string renderJson(const Report& report, const JsonSections& sections = {});
 
 }  // namespace tauhls::verify

@@ -43,10 +43,14 @@ FlowResult seedFlow(const dfg::Dfg& graph, const FlowConfig& config) {
       case 1:
         r.centSync = fsm::buildCentSync(r.scheduled);
         break;
-      case 2:
-        r.latency =
-            sim::compareLatencies(r.scheduled, config.ps, config.mcSamples);
+      case 2: {
+        sim::LatencyOptions lo;
+        lo.mcSamples = config.mcSamples;
+        lo.mcMaxSamples = config.mcMaxSamples;
+        lo.mcTargetHalfWidth = config.mcTargetHalfWidth;
+        r.latency = sim::compareLatencies(r.scheduled, config.ps, lo);
         break;
+      }
     }
   });
   if (config.verify) {
@@ -449,8 +453,8 @@ TEST(Pipeline, ChromeTraceEscapesRunNames) {
   // character a file name can.
   const std::string json = traceToChromeJson({{"a\"b\\c", {}}});
   EXPECT_EQ(json,
-            "{\"traceEvents\":[\n{\"name\":\"process_name\",\"ph\":\"M\","
-            "\"pid\":1,\"tid\":0,\"args\":{\"name\":\"a\\\"b\\\\c\"}}\n]}\n");
+            "{\"traceEvents\":[{\"name\":\"process_name\",\"ph\":\"M\","
+            "\"pid\":1,\"tid\":0,\"args\":{\"name\":\"a\\\"b\\\\c\"}}]}\n");
 }
 
 TEST(Pipeline, RtlArtifactMatchesEmitVerilog) {

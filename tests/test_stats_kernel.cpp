@@ -410,24 +410,32 @@ TEST(StatsKernel, RandomSamplersAgreeBitForBit) {
 
 // --- adaptive exact<->MC crossover ----------------------------------------
 
-// With default options and a graph under the exact cap, the adaptive
-// overload of compareLatencies is bit-identical to the legacy one.
+// With default options and a graph under the exact cap, compareLatencies
+// takes the exact path: its cells are the exact Distributed sweep and the
+// closed-form CentSync expectation bit for bit, and no Monte-Carlo sample is
+// spent.
 TEST(StatsKernel, AdaptiveCompareLatenciesBitIdenticalUnderCap) {
   const std::vector<double> ps = {0.9, 0.7, 0.5};
   for (const ScheduledDfg& s : paperBenchmarks()) {
-    const sim::LatencyComparison legacy = sim::compareLatencies(s, ps);
+    const sim::MakespanEngine engine(s);
+    const std::vector<double> distCycles = sim::averageCyclesExactSweep(
+        s, engine, sim::ControlStyle::Distributed, ps);
     std::vector<sim::McEstimate> info;
     const sim::LatencyComparison adaptive =
         sim::compareLatencies(s, ps, sim::LatencyOptions{}, &info);
     ASSERT_EQ(info.size(), ps.size());
     for (std::size_t i = 0; i < ps.size(); ++i) {
-      EXPECT_EQ(adaptive.tau.averageNs[i], legacy.tau.averageNs[i]);
-      EXPECT_EQ(adaptive.dist.averageNs[i], legacy.dist.averageNs[i]);
-      EXPECT_EQ(adaptive.enhancementPercent[i], legacy.enhancementPercent[i]);
+      const double tau = engine.syncExpectedCycles(ps[i]) * s.clockNs;
+      const double dist = distCycles[i] * s.clockNs;
+      EXPECT_EQ(adaptive.tau.averageNs[i], tau);
+      EXPECT_EQ(adaptive.dist.averageNs[i], dist);
+      EXPECT_EQ(adaptive.enhancementPercent[i], (tau - dist) / tau * 100.0);
       EXPECT_EQ(info[i].samples, 0u);  // the exact path ran, no MC spent
     }
-    EXPECT_EQ(adaptive.dist.bestNs, legacy.dist.bestNs);
-    EXPECT_EQ(adaptive.dist.worstNs, legacy.dist.worstNs);
+    EXPECT_EQ(adaptive.dist.bestNs,
+              engine.bestDistributedCycles() * s.clockNs);
+    EXPECT_EQ(adaptive.dist.worstNs,
+              engine.worstDistributedCycles() * s.clockNs);
   }
 }
 
