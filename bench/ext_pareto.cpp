@@ -33,7 +33,7 @@ int main() {
                 std::to_string(p.controllerArea),
                 std::to_string(p.datapathRegisters),
                 std::to_string(p.unitCount),
-                std::to_string(p.cost(opt.unitWeightArea)),
+                std::to_string(p.cost(explore::kUnitWeightArea)),
                 p.paretoOptimal ? "*" : ""});
     }
     std::cout << t.toString() << "\n";

@@ -27,7 +27,7 @@ int main() {
     lat << std::fixed << std::setprecision(1) << p.averageLatencyNs;
     t.addRow({std::to_string(p.allocation.at(dfg::ResourceClass::Multiplier)),
               std::to_string(p.allocation.at(dfg::ResourceClass::Adder)),
-              lat.str(), std::to_string(p.cost(opt.unitWeightArea)),
+              lat.str(), std::to_string(p.cost(explore::kUnitWeightArea)),
               p.paretoOptimal ? "*" : ""});
   }
   std::cout << t.toString();

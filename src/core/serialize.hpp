@@ -25,8 +25,10 @@
 namespace tauhls::core {
 
 /// Byte-layout version of all artifact codecs (store blobs carry it).
-/// v5 added the XCheck artifact (X-propagation / don't-care soundness).
-inline constexpr std::uint32_t kArtifactCodecVersion = 5;
+/// v5 added the XCheck artifact (X-propagation / don't-care soundness); v6
+/// marks the SymbolicCheck stats of the shared network lowering (one latch
+/// per consumed signal), so blobs holding the older stats miss.
+inline constexpr std::uint32_t kArtifactCodecVersion = 6;
 
 /// Encode the artifact held by `value` (a std::shared_ptr<const T> boxed in
 /// std::any, exactly as the pipeline's slots and the ArtifactCache hold it).

@@ -15,7 +15,6 @@ void emitBody(std::ostringstream& os, const Dfg& g, const DotOptions& options,
   for (NodeId i = 0; i < g.numNodes(); ++i) {
     const Node& n = g.node(i);
     if (n.kind == OpKind::Input) {
-      if (!options.showInputs) continue;
       os << indent << "n" << offset + i << " [shape=plaintext,label=\""
          << portBaseName(n.name) << "\"];\n";
     } else {
@@ -26,7 +25,6 @@ void emitBody(std::ostringstream& os, const Dfg& g, const DotOptions& options,
   for (NodeId i = 0; i < g.numNodes(); ++i) {
     const Node& n = g.node(i);
     for (NodeId o : n.operands) {
-      if (!options.showInputs && g.isInput(o)) continue;
       os << indent << "n" << offset + o << " -> n" << offset + i << ";\n";
     }
   }

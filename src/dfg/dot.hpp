@@ -11,7 +11,6 @@ struct RegionProgram;  // dfg/region.hpp
 
 struct DotOptions {
   bool showScheduleArcs = true;  ///< dashed edges for sequencing arcs
-  bool showInputs = true;        ///< include primary-input nodes
 };
 
 /// Render `g` as a DOT digraph.  State edges render bold ("order"); graphs

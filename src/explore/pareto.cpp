@@ -93,7 +93,7 @@ std::vector<DesignPoint> explore(const dfg::Dfg& g,
     points[i] = std::move(point);
   });
   const std::vector<DesignPoint> front =
-      paretoFront(points, options.unitWeightArea);
+      paretoFront(points, kUnitWeightArea);
   for (DesignPoint& p : points) {
     p.paretoOptimal = false;
     for (const DesignPoint& f : front) {

@@ -40,10 +40,12 @@ struct DesignPoint {
   int cost(int unitWeight) const;
 };
 
+/// Area units explore() charges per allocated unit in its cost objective.
+inline constexpr int kUnitWeightArea = 200;
+
 struct ExploreOptions {
   double p = 0.7;                ///< SD ratio for the latency objective
   int maxUnitsPerClass = 4;
-  int unitWeightArea = 200;      ///< area charged per allocated unit
   /// Artifact cache shared by every design point; null = one private cache
   /// per explore() call.  Reuse the same cache across calls to make repeated
   /// evaluations of a point free.

@@ -24,8 +24,10 @@
 namespace tauhls::fsm {
 
 /// Emission iterates the pulse fixpoint may take (generated controllers need
-/// two; the rest is defensive).  The symbolic checker unrolls this many.
-inline constexpr int kPulseFixpointIterations = 4;
+/// two; the third is defensive).  The AIG lowering of the network
+/// (verify::lowering::networkStep) unrolls this many rounds, and the symbolic
+/// model check flags non-convergence where the last two rounds differ.
+inline constexpr int kPulseFixpointIterations = 3;
 
 /// One network configuration: a state per controller plus the completion
 /// latches that controller holds.

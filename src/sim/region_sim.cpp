@@ -1,17 +1,30 @@
 #include "sim/region_sim.hpp"
 
+#include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
+
+#include "common/error.hpp"
 
 namespace tauhls::sim {
 
 MakespanHistogram convolveHistograms(const MakespanHistogram& a,
-                                     const MakespanHistogram& b) {
+                                     const MakespanHistogram& b,
+                                     int lawTauOps) {
   MakespanHistogram out;
   out.tauCount = a.tauCount + b.tauCount;
   for (const auto& [ka, ca] : a.buckets) {
     for (const auto& [kb, cb] : b.buckets) {
-      out.buckets[{ka.first + kb.first, ka.second + kb.second}] += ca * cb;
+      std::uint64_t& count =
+          out.buckets[{ka.first + kb.first, ka.second + kb.second}];
+      std::uint64_t term = 0;
+      // Refuse rather than wrap: a wrapped count silently skews every
+      // statistic weighted from this histogram.
+      TAUHLS_CHECK(!__builtin_mul_overflow(ca, cb, &term) &&
+                       !__builtin_add_overflow(count, term, &count),
+                   "makespan law of " + std::to_string(lawTauOps) +
+                       " TAU ops overflows its 64-bit counts");
     }
   }
   return out;
@@ -21,13 +34,17 @@ MakespanHistogram composedHistogram(const sched::RegionSchedule& rs,
                                     ControlStyle style,
                                     const dfg::BranchChoices& choices) {
   std::map<std::string, MakespanHistogram> perLeaf;
-  MakespanHistogram out = MakespanHistogram::unit();
+  std::vector<const MakespanHistogram*> trace;
+  int tauOps = 0;
   for (const std::string& path : dfg::activationTrace(rs.program, choices)) {
-    auto it = perLeaf.find(path);
-    if (it == perLeaf.end()) {
-      it = perLeaf.emplace(path, makespanHistogram(rs.leaf(path), style)).first;
-    }
-    out = convolveHistograms(out, it->second);
+    auto [it, fresh] = perLeaf.try_emplace(path);
+    if (fresh) it->second = makespanHistogram(rs.leaf(path), style);
+    trace.push_back(&it->second);
+    tauOps += it->second.tauCount;
+  }
+  MakespanHistogram out = MakespanHistogram::unit();
+  for (const MakespanHistogram* leaf : trace) {
+    out = convolveHistograms(out, *leaf, tauOps);
   }
   return out;
 }

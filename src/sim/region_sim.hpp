@@ -26,9 +26,12 @@
 
 namespace tauhls::sim {
 
-/// Law of the sum of two independent makespans.
+/// Law of the sum of two independent makespans.  Throws tauhls::Error,
+/// naming `lawTauOps` (the TAU ops of the whole law being composed), when a
+/// count would overflow 64 bits -- from about 68 TAU ops on a chain.
 MakespanHistogram convolveHistograms(const MakespanHistogram& a,
-                                     const MakespanHistogram& b);
+                                     const MakespanHistogram& b,
+                                     int lawTauOps);
 
 /// Composed law of the whole program under `choices`: per-leaf histograms
 /// convolved along the activation trace.

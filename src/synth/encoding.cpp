@@ -16,6 +16,11 @@ int Encoding::stateOf(std::uint32_t code) const {
   return s < states ? static_cast<int>(s) : -1;
 }
 
+bool Encoding::codeBit(int state, int bit) const {
+  if (style == EncodingStyle::OneHot) return bit == state;
+  return (codeOf[static_cast<std::size_t>(state)] >> bit) & 1u;
+}
+
 Encoding encodeStates(const fsm::Fsm& fsm, EncodingStyle style) {
   TAUHLS_CHECK(fsm.numStates() > 0, "cannot encode an empty FSM");
   Encoding e;
@@ -26,7 +31,7 @@ Encoding encodeStates(const fsm::Fsm& fsm, EncodingStyle style) {
   } else {
     e.bits = static_cast<int>(fsm.numStates());
     for (std::uint32_t s = 0; s < fsm.numStates(); ++s) {
-      e.codeOf.push_back(std::uint32_t{1} << s);
+      e.codeOf.push_back(s < 32 ? std::uint32_t{1} << s : 0);
     }
   }
   return e;

@@ -16,7 +16,12 @@ enum class EncodingStyle {
 struct Encoding {
   EncodingStyle style = EncodingStyle::Binary;
   int bits = 0;                        ///< flip-flop count
-  std::vector<std::uint32_t> codeOf;   ///< per state id
+  /// Per state id.  A one-hot machine of more than 32 states has no 32-bit
+  /// code for states 32 and up (they hold 0); codeBit covers every state.
+  std::vector<std::uint32_t> codeOf;
+
+  /// Bit `bit` of the code of state `state`.
+  bool codeBit(int state, int bit) const;
 
   /// State id for `code`; -1 when the code is unused (a don't-care row).
   /// Decodes directly from the code assignment encodeStates makes (binary:

@@ -144,11 +144,10 @@ DcsStats checkDcsFsm(const fsm::Fsm& fsm, const std::string& artifact,
   reachRow.artifact = artifact;
   reachRow.rule = "DCS002";
   aig::SeqModel seq;
-  const std::uint32_t initCode =
-      ctx.enc.codeOf[static_cast<std::size_t>(fsm.initial())];
   for (std::size_t b = 0; b < ctx.stateBits.size(); ++b) {
     seq.vars.push_back({"state" + std::to_string(b), ctx.stateBits[b],
-                        cover[b].second, ((initCode >> b) & 1u) != 0});
+                        cover[b].second,
+                        ctx.enc.codeBit(fsm.initial(), static_cast<int>(b))});
   }
   const InductionRun run = proveSafety(
       ctx.g, seq, {aig::negate(careLit)}, aig::kLitTrue,

@@ -39,6 +39,10 @@ using lowering::rtlFunctions;
 using lowering::specFunctions;
 using lowering::SymbolicEval;
 
+/// Random 64-pattern simulation words seeded per controller before the
+/// first query (Incremental engine only).
+constexpr std::size_t kSimWords = 8;
+
 /// Per-controller proof engine.  The Incremental path front-ends every query
 /// with bit-parallel simulation (a simulated mismatch *is* the
 /// counterexample, no CNF ever exists for it), memoizes proven-equal
@@ -60,7 +64,7 @@ struct Prover {
     if (options.engine == EquivEngine::Incremental) {
       inc.emplace(ctx.g);
       sim.emplace(ctx.g);
-      sim->addRandomWords(static_cast<std::size_t>(std::max(1, o.simWords)));
+      sim->addRandomWords(kSimWords);
     }
   }
 
@@ -272,7 +276,7 @@ void checkCompletionLatch(const std::string& packageSource, Report& report,
     const auto level = env.find("level");
     TAUHLS_CHECK(level != env.end(), "latch never drives 'level'");
     const aig::CecResult levelCec = aig::proveEquivalent(
-        g, eval.nonzero(level->second), g.orLit(held, pulse));
+        g, eval.nonzero(level->second), lowering::latchLevel(g, held, pulse));
     if (stats != nullptr) {
       stats->ruleCost["EQV004"] += satQueryCost(levelCec.stats);
     }
@@ -285,10 +289,9 @@ void checkCompletionLatch(const std::string& packageSource, Report& report,
     eval.runSequential(seq);
     const auto heldNext = seq.find("held");
     TAUHLS_CHECK(heldNext != seq.end(), "latch never updates 'held'");
-    const Lit specNext = g.andLit(
-        aig::negate(g.orLit(rst, restart)), g.orLit(pulse, held));
     const aig::CecResult heldCec = aig::proveEquivalent(
-        g, eval.nonzero(heldNext->second), specNext);
+        g, eval.nonzero(heldNext->second),
+        lowering::latchNext(g, held, pulse, g.orLit(rst, restart)));
     if (stats != nullptr) {
       stats->ruleCost["EQV004"] += satQueryCost(heldCec.stats);
     }

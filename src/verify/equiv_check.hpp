@@ -55,9 +55,6 @@ struct EquivOptions {
   /// false claim either way.
   std::uint64_t maxConflicts = 200000;
   EquivEngine engine = EquivEngine::Incremental;
-  /// Random 64-pattern simulation words seeded per controller before the
-  /// first query (Incremental engine only).
-  int simWords = 8;
 };
 
 /// Work counters, surfaced in the pipeline trace and, per rule, in the
@@ -95,8 +92,9 @@ void checkControllerRtl(const fsm::Fsm& fsm, const std::string& source,
                         const std::string& moduleName, Report& report,
                         const EquivOptions& options = {});
 
-/// Check the completion-latch primitive inside `packageSource` against its
-/// specification: level = held | pulse, held' = !rst & !restart &
+/// Check the completion-latch primitive inside `packageSource` against the
+/// latch the network models use (lowering::latchLevel / latchNext, cleared
+/// by rst | restart): level = held | pulse, held' = !rst & !restart &
 /// (pulse | held)  (EQV004).
 void checkCompletionLatch(const std::string& packageSource, Report& report,
                           EquivStats* stats = nullptr);

@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
+#include "fsm/network.hpp"
 
 namespace tauhls::verify::lowering {
 
@@ -19,11 +20,19 @@ Lit stateMatch(Aig& g, const synth::Encoding& enc,
                const std::vector<Lit>& stateBits, int s) {
   Lit acc = kLitTrue;
   for (int b = 0; b < enc.bits; ++b) {
-    const bool bit = (enc.codeOf[static_cast<std::size_t>(s)] >> b) & 1u;
     const Lit sb = stateBits[static_cast<std::size_t>(b)];
-    acc = g.andLit(acc, bit ? sb : aig::negate(sb));
+    acc = g.andLit(acc, enc.codeBit(s, b) ? sb : aig::negate(sb));
   }
   return acc;
+}
+
+Lit validCode(Aig& g, const synth::Encoding& enc,
+              const std::vector<Lit>& stateBits) {
+  Lit valid = kLitFalse;
+  for (std::size_t s = 0; s < enc.codeOf.size(); ++s) {
+    valid = g.orLit(valid, stateMatch(g, enc, stateBits, static_cast<int>(s)));
+  }
+  return valid;
 }
 
 Lit guardLit(Aig& g, const fsm::Guard& guard, const InputResolver& inputOf) {
@@ -48,9 +57,8 @@ FnMap fsmFunctions(Aig& g, const fsm::Fsm& f, const synth::Encoding& enc,
   for (const fsm::Transition& t : f.transitions()) {
     const Lit guard = guardLit(g, t.guard, inputOf);
     const Lit fire = g.andLit(stateMatch(g, enc, stateBits, t.from), guard);
-    const std::uint32_t code = enc.codeOf[static_cast<std::size_t>(t.to)];
     for (int b = 0; b < enc.bits; ++b) {
-      if ((code >> b) & 1u) {
+      if (enc.codeBit(t.to, b)) {
         ns[static_cast<std::size_t>(b)] =
             g.orLit(ns[static_cast<std::size_t>(b)], fire);
       }
@@ -65,6 +73,70 @@ FnMap fsmFunctions(Aig& g, const fsm::Fsm& f, const synth::Encoding& enc,
   return fns;
 }
 
+FnMap rtlFsmFunctions(Aig& g, const fsm::Fsm& f, const synth::Encoding& enc,
+                      const std::vector<Lit>& stateBits,
+                      const InputResolver& inputOf) {
+  const Lit valid = validCode(g, enc, stateBits);
+  FnMap fns = fsmFunctions(g, f, enc, stateBits, inputOf);
+  for (int b = 0; b < enc.bits; ++b) {
+    Lit& ns = fns[static_cast<std::size_t>(b)].second;
+    if (enc.codeBit(f.initial(), b)) ns = g.orLit(ns, aig::negate(valid));
+  }
+  return fns;
+}
+
+Lit latchLevel(Aig& g, Lit held, Lit pulse) { return g.orLit(held, pulse); }
+
+Lit latchNext(Aig& g, Lit held, Lit pulse, Lit clear) {
+  return g.andLit(aig::negate(clear), g.orLit(pulse, held));
+}
+
+NetworkCones networkStep(Aig& g, const fsm::DistributedControlUnit& dcu,
+                         const std::vector<synth::Encoding>& encs,
+                         const std::vector<std::vector<Lit>>& stateBits,
+                         const std::map<std::string, Lit>& held,
+                         const InputResolver& externalOf) {
+  const std::size_t n = dcu.controllers.size();
+  NetworkCones out;
+  out.fns.resize(n);
+  out.reads.resize(n);
+  std::map<std::string, Lit> silent;
+  for (const auto& [sig, producer] : dcu.producerOf) silent[sig] = kLitFalse;
+  out.pulse = silent;
+  for (int round = 0; round < fsm::kPulseFixpointIterations; ++round) {
+    out.prevPulse = std::move(out.pulse);
+    out.pulse = silent;
+    for (std::size_t i = 0; i < n; ++i) {
+      const fsm::Fsm& f = dcu.controllers[i].fsm;
+      std::map<std::string, Lit>& reads = out.reads[i];
+      reads.clear();
+      for (const std::string& in : f.inputs()) {
+        const auto pulse = out.prevPulse.find(in);
+        if (pulse == out.prevPulse.end()) {
+          reads[in] = externalOf(in);
+          continue;
+        }
+        const auto latch = held.find(in);
+        reads[in] = latch == held.end()
+                        ? pulse->second
+                        : latchLevel(g, latch->second, pulse->second);
+      }
+      out.fns[i] = rtlFsmFunctions(
+          g, f, encs[i], stateBits[i],
+          [&](const std::string& sig) { return reads.at(sig); });
+      for (std::size_t o = static_cast<std::size_t>(encs[i].bits);
+           o < out.fns[i].size(); ++o) {
+        const auto& [name, lit] = out.fns[i][o];
+        const auto emitted = out.pulse.find(name);
+        if (emitted != out.pulse.end()) {
+          emitted->second = g.orLit(emitted->second, lit);
+        }
+      }
+    }
+  }
+  return out;
+}
+
 ControllerContext::ControllerContext(const fsm::Fsm& f,
                                      synth::EncodingStyle style)
     : fsm(&f), enc(synth::encodeStates(f, style)) {
@@ -74,9 +146,7 @@ ControllerContext::ControllerContext(const fsm::Fsm& f,
   for (const std::string& in : f.inputs()) {
     inputOf.emplace(in, g.addInput(in));
   }
-  for (std::size_t s = 0; s < f.numStates(); ++s) {
-    valid = g.orLit(valid, stateMatch(g, enc, stateBits, static_cast<int>(s)));
-  }
+  valid = validCode(g, enc, stateBits);
 }
 
 // --- representation 1: the FSM specification -------------------------------

@@ -4,8 +4,9 @@
 // reason over the *same* cones the equivalence proofs certify.
 //
 // The FSM lowering itself (stateMatch, guardLit, fsmFunctions) works over a
-// caller's graph, state bits and input resolver, so the X-propagation
-// network model and the symbolic model check build their cones with it too.
+// caller's graph, state bits and input resolver; its network clock cycle
+// (networkStep) is the transition relation of both the X-propagation network
+// model and the symbolic model check.
 // The representation functions share a ControllerContext: inputs are the
 // encoded state bits (state0..state{n-1}) followed by the FSM's declared
 // input signals.  Every function family is returned ns0..ns{n-1} first,
@@ -20,6 +21,7 @@
 
 #include "aig/aig.hpp"
 #include "aig/cec.hpp"
+#include "fsm/distributed.hpp"
 #include "fsm/machine.hpp"
 #include "logic/cover.hpp"
 #include "netlist/netlist.hpp"
@@ -41,6 +43,10 @@ using InputResolver = std::function<aig::Lit(const std::string&)>;
 aig::Lit stateMatch(aig::Aig& g, const synth::Encoding& enc,
                     const std::vector<aig::Lit>& stateBits, int s);
 
+/// The state bits hold the code of some state (the OR of every stateMatch).
+aig::Lit validCode(aig::Aig& g, const synth::Encoding& enc,
+                   const std::vector<aig::Lit>& stateBits);
+
 /// The guard's sum-of-products over the resolved input literals.
 aig::Lit guardLit(aig::Aig& g, const fsm::Guard& guard,
                   const InputResolver& inputOf);
@@ -51,6 +57,44 @@ aig::Lit guardLit(aig::Aig& g, const fsm::Guard& guard,
 FnMap fsmFunctions(aig::Aig& g, const fsm::Fsm& f, const synth::Encoding& enc,
                    const std::vector<aig::Lit>& stateBits,
                    const InputResolver& inputOf);
+
+/// fsmFunctions plus the emitted RTL's default case arm: an undecodable
+/// state code steps to the initial state, as the emitted machine does.
+FnMap rtlFsmFunctions(aig::Aig& g, const fsm::Fsm& f,
+                      const synth::Encoding& enc,
+                      const std::vector<aig::Lit>& stateBits,
+                      const InputResolver& inputOf);
+
+/// A completion latch as the emitted tauhls_completion_latch computes it:
+/// the level its consumers read, and its held bit one cycle on (set by the
+/// pulse, cleared by `clear`).
+aig::Lit latchLevel(aig::Aig& g, aig::Lit held, aig::Lit pulse);
+aig::Lit latchNext(aig::Aig& g, aig::Lit held, aig::Lit pulse, aig::Lit clear);
+
+/// One clock cycle of the distributed controller network, wired as
+/// rtl::emitDistributedTop wires it: every controller's rtlFsmFunctions,
+/// reading a completion signal (a key of dcu.producerOf) as `held | pulse`
+/// (`held` its latch, when the caller has one) and every other input from
+/// the caller's resolver.  The pulse fixpoint the RTL settles within the
+/// clock is unrolled fsm::kPulseFixpointIterations rounds: round 1 reads no
+/// pulses, each later round the pulses of the one before.
+struct NetworkCones {
+  std::vector<FnMap> fns;  ///< per controller, the last round's cones
+  /// Per controller, the literal each declared input read in the last round.
+  std::vector<std::map<std::string, aig::Lit>> reads;
+  std::map<std::string, aig::Lit> pulse;      ///< emitted by the last round
+  std::map<std::string, aig::Lit> prevPulse;  ///< ... and the one before
+};
+
+/// Lower one network cycle: `encs`/`stateBits` give each controller's
+/// encoding and current state bits (controller order), `held` one latch
+/// literal per latched completion signal, `externalOf` every other input
+/// (called in input-declaration order, once per controller and round).
+NetworkCones networkStep(aig::Aig& g, const fsm::DistributedControlUnit& dcu,
+                         const std::vector<synth::Encoding>& encs,
+                         const std::vector<std::vector<aig::Lit>>& stateBits,
+                         const std::map<std::string, aig::Lit>& held,
+                         const InputResolver& externalOf);
 
 /// Shared AIG context of one controller: inputs are the encoded state bits
 /// (state0.. state{n-1}) followed by the FSM's declared input signals.

@@ -48,25 +48,34 @@ OpTable buildOpTable(const sched::ScheduledDfg& s) {
   return t;
 }
 
-/// Wraps are keyed on `lastRe` -- the register-enable of the last bound op,
-/// which fires exactly on the completing transitions of that op and (unlike
-/// its CCO, which signal pruning may drop) always survives optimization.
-fsm::Fsm oneShotController(const fsm::Fsm& src, const std::string& lastRe) {
-  fsm::Fsm out("ONESHOT_" + src.name());
-  for (int i = 0; i < static_cast<int>(src.numStates()); ++i) {
-    out.addState(src.stateName(i));
+/// Wraps are keyed on the register-enable of the last bound op, which fires
+/// exactly on the completing transitions of that op and (unlike its CCO,
+/// which signal pruning may drop) always survives optimization.
+fsm::DistributedControlUnit oneShotNetwork(
+    const fsm::DistributedControlUnit& dcu, const sched::ScheduledDfg& s) {
+  fsm::DistributedControlUnit oneShot = dcu;
+  for (fsm::UnitController& ctl : oneShot.controllers) {
+    TAUHLS_CHECK(!ctl.ops.empty(), "controller binds no operations");
+    const fsm::Fsm& src = ctl.fsm;
+    const std::string lastRe =
+        fsm::registerEnableSignal(s.graph.node(ctl.ops.back()).name);
+    fsm::Fsm out("ONESHOT_" + src.name());
+    for (int i = 0; i < static_cast<int>(src.numStates()); ++i) {
+      out.addState(src.stateName(i));
+    }
+    const int done = out.addState("DONE");
+    for (const std::string& in : src.inputs()) out.addInput(in);
+    for (const std::string& sig : src.outputs()) out.addOutput(sig);
+    for (const fsm::Transition& t : src.transitions()) {
+      const bool wraps = std::find(t.outputs.begin(), t.outputs.end(),
+                                   lastRe) != t.outputs.end();
+      out.addTransition(t.from, wraps ? done : t.to, t.guard, t.outputs);
+    }
+    out.addTransition(done, done, fsm::Guard::always(), {});
+    out.setInitial(src.initial());
+    ctl.fsm = std::move(out);
   }
-  const int done = out.addState("DONE");
-  for (const std::string& in : src.inputs()) out.addInput(in);
-  for (const std::string& sig : src.outputs()) out.addOutput(sig);
-  for (const fsm::Transition& t : src.transitions()) {
-    const bool wraps = std::find(t.outputs.begin(), t.outputs.end(),
-                                 lastRe) != t.outputs.end();
-    out.addTransition(t.from, wraps ? done : t.to, t.guard, t.outputs);
-  }
-  out.addTransition(done, done, fsm::Guard::always(), {});
-  out.setInitial(src.initial());
-  return out;
+  return oneShot;
 }
 
 /// BFS the reachable transition graph counting RE events.  Checks every
@@ -180,7 +189,7 @@ using detail::OpTable;
 using detail::analyzeEvents;
 using detail::buildOpTable;
 using detail::joinNames;
-using detail::oneShotController;
+using detail::oneShotNetwork;
 
 /// Build the one-shot product and run all distributed-side checks.  Returns
 /// the per-iteration RE alphabet, or nullopt when the product could not be
@@ -190,12 +199,7 @@ std::optional<std::set<int>> checkDistributedSide(
     const OpTable& table, Report& report, const ModelCheckOptions& options) {
   const std::string artifact = "product " + s.graph.name();
 
-  fsm::DistributedControlUnit oneShot = dcu;
-  for (fsm::UnitController& ctl : oneShot.controllers) {
-    TAUHLS_CHECK(!ctl.ops.empty(), "controller binds no operations");
-    ctl.fsm = oneShotController(
-        ctl.fsm, fsm::registerEnableSignal(s.graph.node(ctl.ops.back()).name));
-  }
+  const fsm::DistributedControlUnit oneShot = oneShotNetwork(dcu, s);
 
   fsm::ProductInfo info;
   std::optional<fsm::Fsm> product;

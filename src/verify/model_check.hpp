@@ -79,10 +79,12 @@ struct OpTable {
 
 OpTable buildOpTable(const sched::ScheduledDfg& s);
 
-/// Redirect the wrap transitions of a unit controller (keyed on `lastRe`, the
-/// register-enable of the last bound op) to an absorbing DONE state, turning
-/// the free-running machine into a single-iteration machine.
-fsm::Fsm oneShotController(const fsm::Fsm& src, const std::string& lastRe);
+/// The network with every unit controller's wrap transitions (the ones
+/// emitting the register-enable of its last bound op) redirected to an
+/// absorbing DONE state, turning the free-running machines into
+/// single-iteration machines.
+fsm::DistributedControlUnit oneShotNetwork(
+    const fsm::DistributedControlUnit& dcu, const sched::ScheduledDfg& s);
 
 /// Result of the phi-potential sweep over one machine's transition graph.
 struct EventAnalysis {

@@ -11,8 +11,8 @@
 #include "aig/aig.hpp"
 #include "aig/unroll.hpp"
 #include "common/error.hpp"
-#include "fsm/network.hpp"
 #include "fsm/signal.hpp"
+#include "synth/encoding.hpp"
 #include "verify/lowering.hpp"
 #include "verify/model_check.hpp"
 
@@ -51,145 +51,28 @@ struct Witness {
   Lit cone = aig::kLitFalse;
 };
 
-/// One unit controller's symbolic image: the one-shot machine, its one-hot
-/// state inputs, sticky latch inputs, and the op-position decoration the
-/// strengthening invariant is built from.
+/// One unit controller's decoration: the one-shot machine's DONE state and
+/// the op positions the strengthening invariant is built from.
 struct ControllerModel {
-  fsm::Fsm fsm{"unnamed"};  ///< one-shot rewrite (wraps redirected to DONE)
   int doneState = -1;
-  std::vector<Lit> st;              ///< per state: template input
-  std::map<std::string, Lit> lat;   ///< latched input -> template input
-  std::vector<int> completesOp;     ///< per state: global op index or -1
-  std::vector<int> statePos;        ///< per state: unit position (n = DONE)
-  std::vector<int> opAtPos;         ///< unit position -> global op index
-};
-
-/// One instantiation of the three-phase product step as template cones.
-struct StepCones {
-  std::map<std::string, Lit> pulse;  ///< final emitted set (last iterate)
-  Lit nonConv = aig::kLitFalse;      ///< last iterate != previous (no fixpoint)
-  std::vector<std::vector<Lit>> nextSt;
-  std::map<std::pair<int, std::string>, Lit> nextLat;
-  std::vector<Lit> rePulse;  ///< per op: RE fires this cycle
+  std::vector<int> completesOp;  ///< per state: global op index or -1
+  std::vector<int> statePos;     ///< per state: unit position (n = DONE)
+  std::vector<int> opAtPos;      ///< unit position -> global op index
 };
 
 struct Network {
   aig::Aig g;
+  fsm::DistributedControlUnit oneShot;  ///< wraps redirected to DONE
   std::vector<ControllerModel> ctls;
-  std::map<std::string, Lit> ext;  ///< external input -> template input
-  std::set<std::string> internal;  ///< pulse (CCO) signal names
-  std::vector<Lit> fired;          ///< per op: monitor template input
-  Lit allDone = aig::kLitFalse;
-  StepCones step;        ///< free completion inputs
-  StepCones stepAllTrue; ///< completion inputs forced to 1 (progress check)
+  std::vector<std::vector<Lit>> state;  ///< [c]: one-hot state bits
+  std::map<std::string, Lit> ext;   ///< external input -> template input
+  std::map<std::string, Lit> held;  ///< latched signal -> template input
+  lowering::NetworkCones step;      ///< the cycle under free C_T inputs
   aig::SeqModel seq;
-  std::vector<std::vector<std::size_t>> stVar;  ///< [c][state] -> seq var
   Lit bad[kNumProperties] = {};
   std::vector<Witness> witnesses[kNumProperties];
   Lit inv = aig::kLitFalse;  ///< strengthening invariant (k-induction only)
 };
-
-/// Value of `sig` as controller `c` observes it during a product step:
-/// external inputs read the (possibly forced) free variable, internal pulse
-/// signals read the emission iterate plus the controller's own sticky latch.
-Lit signalValue(Network& net, const ControllerModel& cm, const std::string& sig,
-                const std::map<std::string, Lit>& emitted, bool extTrue) {
-  const auto e = net.ext.find(sig);
-  if (e != net.ext.end()) return extTrue ? aig::kLitTrue : e->second;
-  Lit v = aig::kLitFalse;
-  if (net.internal.contains(sig)) {
-    const auto p = emitted.find(sig);
-    if (p != emitted.end()) v = p->second;
-    const auto l = cm.lat.find(sig);
-    if (l != cm.lat.end()) v = net.g.orLit(v, l->second);
-  }
-  return v;
-}
-
-Lit evalGuard(Network& net, const ControllerModel& cm, const fsm::Guard& guard,
-              const std::map<std::string, Lit>& emitted, bool extTrue) {
-  return lowering::guardLit(net.g, guard, [&](const std::string& sig) {
-    return signalValue(net, cm, sig, emitted, extTrue);
-  });
-}
-
-/// One iterate of the phase-1 emission function: which internal pulses the
-/// controllers emit given the previous iterate's pulses.
-std::map<std::string, Lit> emitIterate(Network& net,
-                                       const std::map<std::string, Lit>& prev,
-                                       bool extTrue) {
-  std::map<std::string, Lit> out;
-  for (const std::string& sig : net.internal) out[sig] = aig::kLitFalse;
-  for (const ControllerModel& cm : net.ctls) {
-    for (const fsm::Transition& t : cm.fsm.transitions()) {
-      bool emits = false;
-      for (const std::string& sig : t.outputs) {
-        if (net.internal.contains(sig)) {
-          emits = true;
-          break;
-        }
-      }
-      if (!emits) continue;
-      const Lit en = net.g.andLit(cm.st[static_cast<std::size_t>(t.from)],
-                                  evalGuard(net, cm, t.guard, prev, extTrue));
-      for (const std::string& sig : t.outputs) {
-        if (net.internal.contains(sig)) out[sig] = net.g.orLit(out[sig], en);
-      }
-    }
-  }
-  return out;
-}
-
-/// Builds the three product phases as template cones, mirroring
-/// fsm::stepNetwork: fsm::kPulseFixpointIterations emission iterates (its
-/// convergence budget), priority-encoded transition firing under the final
-/// iterate, and sticky latch updates.
-StepCones buildStep(Network& net, const OpTable& table, bool extTrue) {
-  StepCones out;
-  std::map<std::string, Lit> e;
-  for (const std::string& sig : net.internal) e[sig] = aig::kLitFalse;
-  std::map<std::string, Lit> prev;
-  for (int iter = 0; iter < fsm::kPulseFixpointIterations; ++iter) {
-    prev = e;
-    e = emitIterate(net, e, extTrue);
-  }
-  out.pulse = e;
-  std::vector<Lit> diffs;
-  for (const auto& [sig, lit] : e) {
-    diffs.push_back(net.g.xorLit(lit, prev.at(sig)));
-  }
-  out.nonConv = net.g.orN(diffs);
-
-  out.nextSt.resize(net.ctls.size());
-  out.rePulse.assign(table.names.size(), aig::kLitFalse);
-  for (std::size_t c = 0; c < net.ctls.size(); ++c) {
-    const ControllerModel& cm = net.ctls[c];
-    out.nextSt[c].assign(cm.fsm.numStates(), aig::kLitFalse);
-    for (int s = 0; s < static_cast<int>(cm.fsm.numStates()); ++s) {
-      Lit notPrev = aig::kLitTrue;  // phase 2 fires the first enabled guard
-      for (const fsm::Transition* t : cm.fsm.transitionsFrom(s)) {
-        const Lit gl = evalGuard(net, cm, t->guard, e, extTrue);
-        const Lit fire =
-            net.g.andN({cm.st[static_cast<std::size_t>(s)], gl, notPrev});
-        notPrev = net.g.andLit(notPrev, aig::negate(gl));
-        out.nextSt[c][static_cast<std::size_t>(t->to)] =
-            net.g.orLit(out.nextSt[c][static_cast<std::size_t>(t->to)], fire);
-        for (const std::string& sig : t->outputs) {
-          const auto re = table.indexOfRe.find(sig);
-          if (re != table.indexOfRe.end()) {
-            const auto op = static_cast<std::size_t>(re->second);
-            out.rePulse[op] = net.g.orLit(out.rePulse[op], fire);
-          }
-        }
-      }
-    }
-    for (const auto& [sig, lit] : cm.lat) {
-      out.nextLat[{static_cast<int>(c), sig}] =
-          net.g.orLit(lit, e.at(sig));
-    }
-  }
-  return out;
-}
 
 /// Decorate each one-shot controller with op positions: a state's position is
 /// the unit-sequence index of the op it completes (RE in some outgoing
@@ -198,8 +81,9 @@ StepCones buildStep(Network& net, const OpTable& table, bool extTrue) {
 /// strengthening invariant, whose base case is checked from the initial
 /// state, so a mis-derivation on a mutated controller disables induction
 /// instead of causing an unsound proof.
-void derivePositions(ControllerModel& cm, const OpTable& table) {
-  const std::size_t numStates = cm.fsm.numStates();
+void derivePositions(ControllerModel& cm, const fsm::Fsm& f,
+                     const OpTable& table) {
+  const std::size_t numStates = f.numStates();
   cm.completesOp.assign(numStates, -1);
   cm.statePos.assign(numStates, -1);
   std::map<int, int> posOfOp;  // global op index -> unit position
@@ -207,7 +91,7 @@ void derivePositions(ControllerModel& cm, const OpTable& table) {
     posOfOp[cm.opAtPos[j]] = static_cast<int>(j);
   }
   for (int s = 0; s < static_cast<int>(numStates); ++s) {
-    for (const fsm::Transition* t : cm.fsm.transitionsFrom(s)) {
+    for (const fsm::Transition* t : f.transitionsFrom(s)) {
       for (const std::string& sig : t->outputs) {
         const auto re = table.indexOfRe.find(sig);
         if (re != table.indexOfRe.end()) {
@@ -227,7 +111,7 @@ void derivePositions(ControllerModel& cm, const OpTable& table) {
     bool changed = false;
     for (int s = 0; s < static_cast<int>(numStates); ++s) {
       if (cm.statePos[static_cast<std::size_t>(s)] >= 0) continue;
-      for (const fsm::Transition* t : cm.fsm.transitionsFrom(s)) {
+      for (const fsm::Transition* t : f.transitionsFrom(s)) {
         if (t->to == s) continue;
         const int p = cm.statePos[static_cast<std::size_t>(t->to)];
         if (p >= 0) {
@@ -258,111 +142,145 @@ Lit notExactlyOne(aig::Aig& g, const std::vector<Lit>& lits) {
 Network buildNetwork(const fsm::DistributedControlUnit& dcu,
                      const sched::ScheduledDfg& s, const OpTable& table) {
   Network net;
+  net.oneShot = detail::oneShotNetwork(dcu, s);
+  const std::vector<fsm::UnitController>& units = net.oneShot.controllers;
   std::map<std::string, int> opIndexOfName;
-  for (std::size_t i = 0; i < table.names.size(); ++i) {
-    opIndexOfName[table.names[i]] = static_cast<int>(i);
-  }
   std::map<std::string, int> opOfCco;
   for (std::size_t i = 0; i < table.names.size(); ++i) {
+    opIndexOfName[table.names[i]] = static_cast<int>(i);
     opOfCco[fsm::opCompletionSignal(table.names[i])] = static_cast<int>(i);
   }
-  for (const auto& [sig, producer] : dcu.producerOf) net.internal.insert(sig);
   for (const std::string& sig : dcu.externalInputs) {
     net.ext[sig] = net.g.addInput(sig);
   }
 
-  // One-shot controllers and their template inputs.
-  for (const fsm::UnitController& src : dcu.controllers) {
-    TAUHLS_CHECK(!src.ops.empty(), "controller binds no operations");
+  // One-hot state bits per one-shot controller, one completion latch per
+  // latched signal, one fired monitor per op: the template inputs.
+  std::vector<synth::Encoding> encs;
+  for (const fsm::UnitController& u : units) {
+    const fsm::Fsm& f = u.fsm;
     ControllerModel cm;
-    cm.fsm = detail::oneShotController(
-        src.fsm,
-        fsm::registerEnableSignal(s.graph.node(src.ops.back()).name));
-    cm.doneState = cm.fsm.findState("DONE");
-    TAUHLS_ASSERT(cm.doneState >= 0, "one-shot controller lost its DONE state");
-    for (dfg::NodeId op : src.ops) {
+    cm.doneState = f.findState("DONE");
+    for (dfg::NodeId op : u.ops) {
       cm.opAtPos.push_back(opIndexOfName.at(s.graph.node(op).name));
     }
-    for (int st = 0; st < static_cast<int>(cm.fsm.numStates()); ++st) {
-      cm.st.push_back(
-          net.g.addInput("st:" + cm.fsm.name() + ":" + cm.fsm.stateName(st)));
+    encs.push_back(synth::encodeStates(f, synth::EncodingStyle::OneHot));
+    std::vector<Lit>& bits = net.state.emplace_back();
+    for (int st = 0; st < static_cast<int>(f.numStates()); ++st) {
+      bits.push_back(net.g.addInput("st:" + f.name() + ":" + f.stateName(st)));
     }
-    for (const std::string& sig : src.latchedInputs) {
-      cm.lat[sig] = net.g.addInput("lat:" + cm.fsm.name() + ":" + sig);
-    }
-    derivePositions(cm, table);
+    derivePositions(cm, f, table);
     net.ctls.push_back(std::move(cm));
   }
+  for (const fsm::UnitController& u : units) {
+    for (const std::string& sig : u.latchedInputs) {
+      if (dcu.producerOf.contains(sig) && !net.held.contains(sig)) {
+        net.held[sig] = net.g.addInput("lat:" + sig);
+      }
+    }
+  }
+  std::vector<Lit> fired;  // per op: monitor template input
   for (const std::string& name : table.names) {
-    net.fired.push_back(net.g.addInput("fired:" + name));
+    fired.push_back(net.g.addInput("fired:" + name));
   }
 
   std::vector<Lit> doneBits;
-  for (const ControllerModel& cm : net.ctls) {
-    doneBits.push_back(cm.st[static_cast<std::size_t>(cm.doneState)]);
+  for (std::size_t c = 0; c < net.ctls.size(); ++c) {
+    doneBits.push_back(
+        net.state[c][static_cast<std::size_t>(net.ctls[c].doneState)]);
   }
-  net.allDone = net.g.andN(doneBits);
+  const Lit allDone = net.g.andN(doneBits);
 
-  net.step = buildStep(net, table, /*extTrue=*/false);
-  net.stepAllTrue = buildStep(net, table, /*extTrue=*/true);
+  // The cycle cones: the same lowering XPR ties to the emitted RTL.
+  auto extOf = [&](const std::string& sig) {
+    const auto e = net.ext.find(sig);
+    return e != net.ext.end() ? e->second : aig::kLitFalse;
+  };
+  net.step = lowering::networkStep(net.g, net.oneShot, encs, net.state,
+                                   net.held, extOf);
+  // MDL002's progress check steps with every completion input forced to 1.
+  const lowering::NetworkCones stepAllTrue = lowering::networkStep(
+      net.g, net.oneShot, encs, net.state, net.held,
+      [&](const std::string& sig) {
+        return net.ext.contains(sig) ? aig::kLitTrue : aig::kLitFalse;
+      });
+  std::vector<Lit> rePulse(table.names.size(), aig::kLitFalse);
+  for (const lowering::FnMap& fns : net.step.fns) {
+    for (const auto& [sig, lit] : fns) {
+      const auto re = table.indexOfRe.find(sig);
+      if (re == table.indexOfRe.end()) continue;
+      const auto op = static_cast<std::size_t>(re->second);
+      rePulse[op] = net.g.orLit(rePulse[op], lit);
+    }
+  }
+  // Latches capture the last round's pulses (every held signal has one)
+  // and never clear within the one-shot iteration.
+  auto nextHeld = [&](const lowering::NetworkCones& step,
+                      const std::string& sig, Lit cur) {
+    return lowering::latchNext(net.g, cur, step.pulse.at(sig), aig::kLitFalse);
+  };
 
   // --- Sequential model: states, latches, fired monitors ------------------
-  net.stVar.resize(net.ctls.size());
-  for (std::size_t c = 0; c < net.ctls.size(); ++c) {
-    const ControllerModel& cm = net.ctls[c];
-    for (int st = 0; st < static_cast<int>(cm.fsm.numStates()); ++st) {
-      net.stVar[c].push_back(net.seq.vars.size());
+  for (std::size_t c = 0; c < units.size(); ++c) {
+    const fsm::Fsm& f = units[c].fsm;
+    for (int st = 0; st < static_cast<int>(f.numStates()); ++st) {
+      const auto b = static_cast<std::size_t>(st);
       net.seq.vars.push_back(aig::SeqVar{
-          "st:" + cm.fsm.name() + ":" + cm.fsm.stateName(st),
-          cm.st[static_cast<std::size_t>(st)],
-          net.step.nextSt[c][static_cast<std::size_t>(st)],
-          st == cm.fsm.initial()});
+          "st:" + f.name() + ":" + f.stateName(st), net.state[c][b],
+          net.step.fns[c][b].second, st == f.initial()});
     }
   }
-  for (std::size_t c = 0; c < net.ctls.size(); ++c) {
-    for (const auto& [sig, lit] : net.ctls[c].lat) {
-      net.seq.vars.push_back(
-          aig::SeqVar{"lat:" + net.ctls[c].fsm.name() + ":" + sig, lit,
-                      net.step.nextLat.at({static_cast<int>(c), sig}), false});
-    }
+  for (const auto& [sig, lit] : net.held) {
+    net.seq.vars.push_back(
+        aig::SeqVar{"lat:" + sig, lit, nextHeld(net.step, sig, lit), false});
   }
   for (std::size_t i = 0; i < table.names.size(); ++i) {
     net.seq.vars.push_back(
-        aig::SeqVar{"fired:" + table.names[i], net.fired[i],
-                    net.g.orLit(net.fired[i], net.step.rePulse[i]), false});
+        aig::SeqVar{"fired:" + table.names[i], fired[i],
+                    net.g.orLit(fired[i], rePulse[i]), false});
   }
 
   // --- MDL001: a controller has zero or several enabled transitions, or the
-  // emission fixpoint fails to converge.  Checked under both the empty and
-  // the final pulse iterate -- the explicit engine steps every controller
-  // under each iterate and throws on either defect.
+  // pulse fixpoint fails to converge.  Checked under the first round's
+  // inputs (latches only) and the last round's -- the explicit engine steps
+  // every controller under each pulse iterate and throws on either defect.
   {
-    std::map<std::string, Lit> empty;
-    for (const std::string& sig : net.internal) empty[sig] = aig::kLitFalse;
+    auto firstRead = [&](const std::string& sig) {
+      const auto h = net.held.find(sig);
+      return h != net.held.end() ? h->second : extOf(sig);
+    };
     std::vector<Lit> parts;
-    for (const ControllerModel& cm : net.ctls) {
+    for (std::size_t c = 0; c < units.size(); ++c) {
+      const fsm::Fsm& f = units[c].fsm;
+      const std::map<std::string, Lit>& lastRead = net.step.reads[c];
       std::vector<Lit> perState;
-      for (int st = 0; st < static_cast<int>(cm.fsm.numStates()); ++st) {
-        std::vector<Lit> gEmpty;
-        std::vector<Lit> gFinal;
-        for (const fsm::Transition* t : cm.fsm.transitionsFrom(st)) {
-          gEmpty.push_back(evalGuard(net, cm, t->guard, empty, false));
-          gFinal.push_back(evalGuard(net, cm, t->guard, net.step.pulse, false));
+      for (int st = 0; st < static_cast<int>(f.numStates()); ++st) {
+        std::vector<Lit> gFirst;
+        std::vector<Lit> gLast;
+        for (const fsm::Transition* t : f.transitionsFrom(st)) {
+          gFirst.push_back(lowering::guardLit(net.g, t->guard, firstRead));
+          gLast.push_back(lowering::guardLit(
+              net.g, t->guard,
+              [&](const std::string& sig) { return lastRead.at(sig); }));
         }
-        const Lit viol = net.g.orLit(notExactlyOne(net.g, gEmpty),
-                                     notExactlyOne(net.g, gFinal));
-        perState.push_back(
-            net.g.andLit(cm.st[static_cast<std::size_t>(st)], viol));
+        const Lit viol = net.g.orLit(notExactlyOne(net.g, gFirst),
+                                     notExactlyOne(net.g, gLast));
+        perState.push_back(net.g.andLit(
+            net.state[c][static_cast<std::size_t>(st)], viol));
       }
       const Lit cone = net.g.orN(perState);
       parts.push_back(cone);
       net.witnesses[0].push_back(
-          Witness{cm.fsm.name(),
-                  "has zero or several enabled transitions", cone});
+          Witness{f.name(), "has zero or several enabled transitions", cone});
     }
-    parts.push_back(net.step.nonConv);
-    net.witnesses[0].push_back(Witness{
-        "", "completion-pulse fixpoint did not converge", net.step.nonConv});
+    std::vector<Lit> diffs;
+    for (const auto& [sig, lit] : net.step.pulse) {
+      diffs.push_back(net.g.xorLit(lit, net.step.prevPulse.at(sig)));
+    }
+    const Lit nonConv = net.g.orN(diffs);
+    parts.push_back(nonConv);
+    net.witnesses[0].push_back(
+        Witness{"", "completion-pulse fixpoint did not converge", nonConv});
     net.bad[0] = net.g.orN(parts);
   }
 
@@ -370,24 +288,24 @@ Network buildNetwork(const fsm::DistributedControlUnit& dcu,
   // completion inputs -- no controller can ever make progress again.
   {
     std::vector<Lit> same;
-    for (std::size_t c = 0; c < net.ctls.size(); ++c) {
-      const ControllerModel& cm = net.ctls[c];
-      for (int st = 0; st < static_cast<int>(cm.fsm.numStates()); ++st) {
+    for (std::size_t c = 0; c < units.size(); ++c) {
+      for (std::size_t b = 0; b < net.state[c].size(); ++b) {
         same.push_back(aig::negate(net.g.xorLit(
-            cm.st[static_cast<std::size_t>(st)],
-            net.stepAllTrue.nextSt[c][static_cast<std::size_t>(st)])));
-      }
-      for (const auto& [sig, lit] : cm.lat) {
-        same.push_back(aig::negate(net.g.xorLit(
-            lit, net.stepAllTrue.nextLat.at({static_cast<int>(c), sig}))));
+            net.state[c][b], stepAllTrue.fns[c][b].second)));
       }
     }
-    net.bad[1] = net.g.andN({aig::negate(net.allDone), net.g.andN(same)});
-    for (const ControllerModel& cm : net.ctls) {
+    for (const auto& [sig, lit] : net.held) {
+      same.push_back(aig::negate(
+          net.g.xorLit(lit, nextHeld(stepAllTrue, sig, lit))));
+    }
+    net.bad[1] = net.g.andN({aig::negate(allDone), net.g.andN(same)});
+    for (std::size_t c = 0; c < units.size(); ++c) {
+      const ControllerModel& cm = net.ctls[c];
       net.witnesses[1].push_back(Witness{
-          cm.fsm.name(), "is stuck waiting for a completion that never comes",
+          units[c].fsm.name(),
+          "is stuck waiting for a completion that never comes",
           net.g.andLit(net.bad[1],
-                       aig::negate(cm.st[static_cast<std::size_t>(
+                       aig::negate(net.state[c][static_cast<std::size_t>(
                            cm.doneState)]))});
     }
   }
@@ -397,14 +315,14 @@ Network buildNetwork(const fsm::DistributedControlUnit& dcu,
   {
     std::vector<Lit> parts;
     for (std::size_t i = 0; i < table.names.size(); ++i) {
-      const Lit refire = net.g.andLit(net.step.rePulse[i], net.fired[i]);
+      const Lit refire = net.g.andLit(rePulse[i], fired[i]);
       parts.push_back(refire);
       net.witnesses[2].push_back(
           Witness{table.names[i], "completes twice in one iteration", refire});
     }
     for (std::size_t i = 0; i < table.names.size(); ++i) {
       const Lit unfired =
-          net.g.andLit(net.allDone, aig::negate(net.fired[i]));
+          net.g.andLit(allDone, aig::negate(fired[i]));
       parts.push_back(unfired);
       net.witnesses[2].push_back(Witness{
           table.names[i], "never completes in a finished iteration", unfired});
@@ -418,8 +336,8 @@ Network buildNetwork(const fsm::DistributedControlUnit& dcu,
     for (std::size_t i = 0; i < table.names.size(); ++i) {
       for (const int p : table.dataPreds[i]) {
         const Lit cone = net.g.andLit(
-            net.step.rePulse[i],
-            aig::negate(net.fired[static_cast<std::size_t>(p)]));
+            rePulse[i],
+            aig::negate(fired[static_cast<std::size_t>(p)]));
         parts.push_back(cone);
         net.witnesses[3].push_back(
             Witness{table.names[i],
@@ -439,8 +357,8 @@ Network buildNetwork(const fsm::DistributedControlUnit& dcu,
       const int q = table.unitPred[i];
       if (q < 0) continue;
       const Lit cone = net.g.andLit(
-          net.step.rePulse[i],
-          aig::negate(net.fired[static_cast<std::size_t>(q)]));
+          rePulse[i],
+          aig::negate(fired[static_cast<std::size_t>(q)]));
       parts.push_back(cone);
       net.witnesses[4].push_back(
           Witness{table.names[i],
@@ -452,56 +370,60 @@ Network buildNetwork(const fsm::DistributedControlUnit& dcu,
   }
 
   // --- Strengthening invariant (k-induction only; never assumed by BMC):
-  // one-hot states, fired == "state is past the op", latch == producer
-  // fired, executing states imply their predecessors' latches.
+  // every controller holds a valid one-hot code (bit st is state st), fired
+  // == "state is past the op", latch == producer fired, executing states
+  // imply the predecessor latches their controller reads.
   {
     std::vector<Lit> parts;
-    for (const ControllerModel& cm : net.ctls) {
-      parts.push_back(aig::negate(notExactlyOne(net.g, cm.st)));
+    for (std::size_t c = 0; c < units.size(); ++c) {
+      const ControllerModel& cm = net.ctls[c];
+      const std::vector<Lit>& bits = net.state[c];
+      parts.push_back(lowering::validCode(net.g, encs[c], bits));
       for (std::size_t j = 0; j < cm.opAtPos.size(); ++j) {
         std::vector<Lit> past;
-        for (int st = 0; st < static_cast<int>(cm.fsm.numStates()); ++st) {
-          if (cm.statePos[static_cast<std::size_t>(st)] >
-              static_cast<int>(j)) {
-            past.push_back(cm.st[static_cast<std::size_t>(st)]);
-          }
+        for (std::size_t st = 0; st < bits.size(); ++st) {
+          if (cm.statePos[st] > static_cast<int>(j)) past.push_back(bits[st]);
         }
         parts.push_back(aig::negate(net.g.xorLit(
-            net.fired[static_cast<std::size_t>(cm.opAtPos[j])],
+            fired[static_cast<std::size_t>(cm.opAtPos[j])],
             net.g.orN(past))));
       }
-      for (const auto& [sig, lit] : cm.lat) {
-        const auto producer = opOfCco.find(sig);
-        if (producer == opOfCco.end()) continue;
-        parts.push_back(aig::negate(net.g.xorLit(
-            lit, net.fired[static_cast<std::size_t>(producer->second)])));
-      }
-      for (int st = 0; st < static_cast<int>(cm.fsm.numStates()); ++st) {
-        const int op = cm.completesOp[static_cast<std::size_t>(st)];
+      const std::vector<std::string>& latched = units[c].latchedInputs;
+      for (std::size_t st = 0; st < bits.size(); ++st) {
+        const int op = cm.completesOp[st];
         if (op < 0) continue;
         for (const int p : table.dataPreds[static_cast<std::size_t>(op)]) {
-          const auto l = cm.lat.find(
-              fsm::opCompletionSignal(table.names[static_cast<std::size_t>(p)]));
-          if (l == cm.lat.end()) continue;
-          parts.push_back(net.g.orLit(
-              aig::negate(cm.st[static_cast<std::size_t>(st)]), l->second));
+          const std::string sig =
+              fsm::opCompletionSignal(table.names[static_cast<std::size_t>(p)]);
+          if (std::find(latched.begin(), latched.end(), sig) == latched.end()) {
+            continue;
+          }
+          parts.push_back(
+              net.g.orLit(aig::negate(bits[st]), net.held.at(sig)));
         }
       }
+    }
+    for (const auto& [sig, lit] : net.held) {
+      const auto producer = opOfCco.find(sig);
+      if (producer == opOfCco.end()) continue;
+      parts.push_back(aig::negate(net.g.xorLit(
+          lit, fired[static_cast<std::size_t>(producer->second)])));
     }
     net.inv = net.g.andN(parts);
   }
   return net;
 }
 
-/// Controller `cm`'s one-hot state at `frame`: "?" or "multi" when the
+/// Controller `c`'s one-hot state at `frame`: "?" or "multi" when the
 /// one-hot encoding is broken (MDL001 traces).
-std::string stateNameAt(const FrameEval& eval, int frame,
-                        const ControllerModel& cm) {
+std::string stateNameAt(const Network& net, const FrameEval& eval, int frame,
+                        std::size_t c) {
+  const fsm::Fsm& f = net.oneShot.controllers[c].fsm;
   std::string found;
   int count = 0;
-  for (int st = 0; st < static_cast<int>(cm.fsm.numStates()); ++st) {
-    if (eval(frame, cm.st[static_cast<std::size_t>(st)])) {
-      found = cm.fsm.stateName(st);
+  for (std::size_t st = 0; st < net.state[c].size(); ++st) {
+    if (eval(frame, net.state[c][st])) {
+      found = f.stateName(static_cast<int>(st));
       ++count;
     }
   }
@@ -518,8 +440,9 @@ std::string waveform(const Network& net, const FrameEval& eval, int depth) {
       os << " " << sig << "=" << (eval(f, lit) ? "1" : "0");
     }
     if (!net.ext.empty()) os << " |";
-    for (const ControllerModel& cm : net.ctls) {
-      os << " " << cm.fsm.name() << "@" << stateNameAt(eval, f, cm);
+    for (std::size_t c = 0; c < net.ctls.size(); ++c) {
+      os << " " << net.oneShot.controllers[c].fsm.name() << "@"
+         << stateNameAt(net, eval, f, c);
     }
     std::string pulses;
     for (const auto& [sig, lit] : net.step.pulse) {
@@ -527,10 +450,8 @@ std::string waveform(const Network& net, const FrameEval& eval, int depth) {
     }
     if (!pulses.empty()) os << " | pulses" << pulses;
     std::string latched;
-    for (const ControllerModel& cm : net.ctls) {
-      for (const auto& [sig, lit] : cm.lat) {
-        if (eval(f, lit)) latched += " " + cm.fsm.name() + ":" + sig;
-      }
+    for (const auto& [sig, lit] : net.held) {
+      if (eval(f, lit)) latched += " " + sig;
     }
     if (!latched.empty()) os << " | latched" << latched;
   }

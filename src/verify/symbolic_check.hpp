@@ -4,19 +4,18 @@
 // The synchronous product of all one-shot unit controllers (wrap transitions
 // redirected to absorbing DONE states, exactly as in model_check.cpp) is
 // encoded as a sequential circuit over a template AIG: one-hot state bits per
-// controller, one sticky bit per (controller, latched completion signal), one
-// fired-monitor bit per operation, and the unit completion inputs C_T as free
-// per-cycle variables.  The transition cones mirror the three phases of
-// fsm::buildProduct literally -- the emitted-pulse fixpoint (iterated four
-// times, matching the product's convergence budget), priority-encoded
-// transition firing, and sticky latch updates -- so both engines explore the
-// same behaviour and must agree on every verdict.
+// controller, one sticky bit per latched completion signal (as the emitted
+// RTL has one latch per wire), one fired-monitor bit per operation, and the
+// unit completion inputs C_T as free per-cycle variables.  The transition
+// cones are lowering::networkStep's, the network cycle the X-propagation
+// check ties to the emitted RTL, so both engines explore the same behaviour
+// and must agree on every verdict.
 //
 // The MDL001-MDL005 analogues are checked as safety properties:
 //
 //   MDL001  some controller has zero or several enabled transitions, or the
-//           pulse fixpoint fails to converge (structural deadlock /
-//           nondeterminism).
+//           pulse fixpoint fails to converge within its rounds (the last two
+//           differ) -- structural deadlock / nondeterminism.
 //   MDL002  a non-done configuration repeats itself under all-true completion
 //           inputs (circular cross-unit wait; livelock in R states).
 //   MDL003  lock-step: an operation's RE fires twice in one iteration, or
@@ -26,11 +25,11 @@
 //
 // The properties run through the shared BMC + k-induction engine
 // (verify/induction.hpp: one solver per network, simple-path constraints)
-// with a structural strengthening invariant (one-hot states, fired == state
-// position, latch == producer fired, executing states imply predecessor
-// latches).  Properties that close get a PROVED verdict with the induction
-// depth; failures get a concrete counterexample decoded back to per-cycle
-// RE / S_i / S_i' / R_i waveforms in the diagnostic message.  The
+// with a structural strengthening invariant (valid one-hot codes, fired ==
+// state position, latch == producer fired, executing states imply
+// predecessor latches).  Properties that close get a PROVED verdict with the
+// induction depth; failures get a concrete counterexample decoded back to
+// per-cycle RE / S_i / S_i' / R_i waveforms in the diagnostic message.  The
 // strengthening invariant is itself base-checked from the initial state and
 // never assumed by BMC, so counterexamples stay sound on mutated controllers
 // that break it.

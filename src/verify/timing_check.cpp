@@ -22,7 +22,7 @@ void checkControllerTiming(const fsm::Fsm& fsm, double clockNs, Report& report,
   const netlist::ControllerNetlist cn =
       netlist::buildControllerNetlist(fsm, options.style);
   const netlist::StaResult sta =
-      netlist::runSta(cn.net, clockNs, options.marginNs, options.model);
+      netlist::runSta(cn.net, clockNs, options.marginNs);
   const std::string artifact = "fsm " + fsm.name();
   const std::string path = netlist::formatWorstPath(sta);
 

@@ -17,11 +17,11 @@ namespace tauhls::verify {
 
 struct TimingOptions {
   double marginNs = 2.0;  ///< register setup + completion-signal arrival
-  netlist::DelayModel model;
   synth::EncodingStyle style = synth::EncodingStyle::Binary;
 };
 
-/// STA over one controller's synthesized netlist against `clockNs`.
+/// STA over one controller's synthesized netlist against `clockNs`, under
+/// netlist::DelayModel's default gate delays.
 void checkControllerTiming(const fsm::Fsm& fsm, double clockNs, Report& report,
                            const TimingOptions& options = {});
 

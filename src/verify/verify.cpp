@@ -37,21 +37,16 @@ Report verifyFlow(const sched::ScheduledDfg& s,
     }
   }
 
-  if (options.checkNetlists) {
-    std::vector<netlist::ControllerNetlist> netlists;
-    for (const fsm::UnitController& ctl : dcu.controllers) {
-      netlists.push_back(netlist::buildControllerNetlist(ctl.fsm));
-      lintNetlist(netlists.back().net, report);
-    }
-    checkControlLoops(dcu, netlists, s.graph.name(), report);
+  std::vector<netlist::ControllerNetlist> netlists;
+  for (const fsm::UnitController& ctl : dcu.controllers) {
+    netlists.push_back(netlist::buildControllerNetlist(ctl.fsm));
+    lintNetlist(netlists.back().net, report);
   }
+  checkControlLoops(dcu, netlists, s.graph.name(), report);
 
-  if (options.checkRtl) {
-    const std::string package =
-        rtl::emitPackage(dcu,
-                         "tauhls_" + identifierChars(s.graph.name()) + "_ctrl");
-    lintRtl(vsim::parseDesign(package), report);
-  }
+  const std::string package = rtl::emitPackage(
+      dcu, "tauhls_" + identifierChars(s.graph.name()) + "_ctrl");
+  lintRtl(vsim::parseDesign(package), report);
 
   return report;
 }

@@ -26,14 +26,11 @@ struct VerifyOptions {
   bool modelCheck = true;
   /// Bound on product configurations before degrading to MDL007.
   std::size_t modelCheckMaxStates = 200000;
-  /// Synthesize controller netlists and lint them + the functional
-  /// cross-controller loop check (NET*).
-  bool checkNetlists = true;
-  /// Emit the RTL package and lint the parsed result (NET*).
-  bool checkRtl = true;
 };
 
 /// Run all passes over a scheduled design and its distributed controllers.
+/// The structural layer always runs: the controller netlists (lint + the
+/// functional cross-controller loop check) and the parsed RTL package (NET*).
 Report verifyFlow(const sched::ScheduledDfg& s,
                   const fsm::DistributedControlUnit& dcu,
                   const VerifyOptions& options = {});

@@ -35,6 +35,13 @@ using aig::XWord;
 /// The module name the XPR002 replay drives (and rtlOverride must define).
 constexpr const char* kXpropTopName = "tauhls_xprop_top";
 
+/// Seed of every pseudo-random input pattern ("xprop").
+constexpr std::uint64_t kSeed = 0x7870726f70ull;
+
+/// Concrete power-on instances replayed against the emitted RTL, on top of
+/// the all-X proof replay.
+constexpr int kRtlInstances = 3;
+
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -80,10 +87,10 @@ struct StateGroup {
 
 struct NetModel {
   Aig g;
-  Lit rst = kLitFalse;
-  Lit restart = kLitFalse;
-  std::size_t rstIdx = 0;
-  std::size_t restartIdx = 0;
+  Lit rst = g.addInput("rst");
+  Lit restart = g.addInput("restart");
+  std::size_t rstIdx = g.inputIndexOf(aig::nodeOf(rst));
+  std::size_t restartIdx = g.inputIndexOf(aig::nodeOf(restart));
   /// Free per-cycle inputs (C_* completions; DN_*_pulse / SEL_* for the
   /// sequencer model), with their AIG input indices.
   std::vector<std::pair<std::string, std::size_t>> freeIns;
@@ -94,9 +101,10 @@ struct NetModel {
   std::map<std::string, std::size_t> probeIdxOf;  ///< probe name -> index
 };
 
-void addFree(NetModel& m, const std::string& name) {
+Lit addFree(NetModel& m, const std::string& name) {
   const Lit l = m.g.addInput(name);
   m.freeIns.emplace_back(name, m.g.inputIndexOf(aig::nodeOf(l)));
+  return l;
 }
 
 std::size_t addReg(NetModel& m, const std::string& artifact,
@@ -116,47 +124,29 @@ void addProbe(NetModel& m, const std::string& artifact, const std::string& name,
   m.probes.push_back({artifact, name, lit});
 }
 
-/// One FSM's next-state and output cones as the emitted RTL computes them:
-/// lowering::fsmFunctions plus the RTL's default case arm, which steps an
-/// undecodable state code to the initial state -- so the model tracks the
-/// emitted machine on *every* power-on pattern, not just the encoded ones.
-lowering::FnMap rtlFsmFunctions(Aig& g, const fsm::Fsm& f,
-                                const synth::Encoding& enc,
-                                const std::vector<Lit>& state,
-                                const std::map<std::string, Lit>& inputOf) {
-  Lit valid = kLitFalse;
-  for (std::size_t s = 0; s < f.numStates(); ++s) {
-    valid = g.orLit(valid,
-                    lowering::stateMatch(g, enc, state, static_cast<int>(s)));
+/// The encoded state registers of `f` (LSB first) as one StateGroup;
+/// returns their current-value literals.
+std::vector<Lit> addStateRegs(NetModel& m, const std::string& artifact,
+                              const fsm::Fsm& f, int bits) {
+  StateGroup group{f.name(), {}};
+  std::vector<Lit> cur;
+  for (int b = 0; b < bits; ++b) {
+    const std::size_t r = addReg(m, artifact, "state" + std::to_string(b),
+                                 f.name() + ".state" + std::to_string(b));
+    cur.push_back(m.regs[r].cur);
+    group.regIdx.push_back(r);
   }
-  lowering::FnMap fns =
-      lowering::fsmFunctions(g, f, enc, state, [&](const std::string& sig) {
-        return inputOf.at(sig);
-      });
-  const std::uint32_t init = enc.codeOf[static_cast<std::size_t>(f.initial())];
-  for (int b = 0; b < enc.bits; ++b) {
-    Lit& ns = fns[static_cast<std::size_t>(b)].second;
-    if ((init >> b) & 1u) ns = g.orLit(ns, aig::negate(valid));
-  }
-  return fns;
+  m.stateGroups.push_back(std::move(group));
+  return cur;
 }
 
-/// Flat network model: every controller plus one completion latch per
-/// consumed signal, wired exactly as rtl::emitDistributedTop wires them.
-/// Consumer cones read `held | producer pulse`; the producer pulse cones are
-/// built on demand following the (acyclic) signal dependency order.
+/// Flat network model: the registers of every controller and one completion
+/// latch per consumed signal around lowering::networkStep's cycle cones,
+/// wired exactly as rtl::emitDistributedTop wires them.
 NetModel buildFlatModel(const fsm::DistributedControlUnit& dcu,
                         synth::EncodingStyle style, const XprOptions& opt) {
   NetModel m;
-  m.rst = m.g.addInput("rst");
-  m.rstIdx = m.g.inputIndexOf(aig::nodeOf(m.rst));
-  m.restart = m.g.addInput("restart");
-  m.restartIdx = m.g.inputIndexOf(aig::nodeOf(m.restart));
-  std::map<std::string, Lit> freeLit;
-  for (const std::string& in : dcu.externalInputs) {
-    addFree(m, in);
-    freeLit[in] = m.g.findInput(in);
-  }
+  for (const std::string& in : dcu.externalInputs) addFree(m, in);
 
   // Registers first (they are the template inputs): encoded state bits per
   // controller, one held bit per consumed signal.
@@ -166,91 +156,47 @@ NetModel buildFlatModel(const fsm::DistributedControlUnit& dcu,
     const fsm::Fsm& f = dcu.controllers[i].fsm;
     const synth::Encoding& enc =
         encs.emplace_back(synth::encodeStates(f, style));
-    StateGroup group;
-    group.fsmName = f.name();
-    for (int b = 0; b < enc.bits; ++b) {
-      const std::size_t r =
-          addReg(m, "fsm " + f.name(), "state" + std::to_string(b),
-                 f.name() + ".state" + std::to_string(b));
-      stateCur[i].push_back(m.regs[r].cur);
-      group.regIdx.push_back(r);
-    }
-    m.stateGroups.push_back(std::move(group));
+    stateCur[i] = addStateRegs(m, "fsm " + f.name(), f, enc.bits);
   }
-  std::vector<std::string> consumed;
-  for (const auto& [sig, users] : dcu.consumersOf) consumed.push_back(sig);
-  for (const std::string& sig : consumed) {
+  std::map<std::string, Lit> held;
+  for (const auto& [sig, users] : dcu.consumersOf) {
     m.heldRegOf[sig] = addReg(m, "latch " + sig, "held", sig + ".held");
+    held[sig] = m.regs[m.heldRegOf[sig]].cur;
   }
 
-  // Completion pulses can cascade within one clock: `<sig>_level = held |
-  // pulse` feeds the next controller's guard combinationally, and the signal
-  // graph may even be structurally cyclic (AR-lattice).  The emitted RTL
-  // settles this net to a monotone fixpoint (vsim settle(); the pulse
-  // fixpoint of fsm::stepNetwork, which converges within 2 rounds for
-  // generated controllers).
-  // An AIG is a DAG, so unroll that fixpoint: three rounds, each rebuilding
-  // every pulse cone against the previous round's pulses, with round 0
-  // seeing the held latches only.  Hash-consing collapses rounds that have
-  // already stabilized, so acyclic networks cost nothing extra.
-  std::vector<lowering::FnMap> fns(dcu.controllers.size());
-  std::map<std::string, Lit> pulseOf;
-  for (int round = 0; round < 3; ++round) {
-    std::map<std::string, Lit> nextPulse;
-    for (std::size_t i = 0; i < dcu.controllers.size(); ++i) {
-      const fsm::Fsm& f = dcu.controllers[i].fsm;
-      std::map<std::string, Lit> inputOf;
-      for (const std::string& in : f.inputs()) {
-        if (dcu.producerOf.contains(in)) {
-          const auto prev = pulseOf.find(in);
-          const Lit pulse = prev != pulseOf.end() ? prev->second : kLitFalse;
-          inputOf[in] = m.g.orLit(m.regs[m.heldRegOf.at(in)].cur, pulse);
-        } else {
-          auto it = freeLit.find(in);
-          if (it == freeLit.end()) {
-            addFree(m, in);
-            it = freeLit.emplace(in, m.g.findInput(in)).first;
-          }
-          inputOf[in] = it->second;
-        }
-      }
-      fns[i] = rtlFsmFunctions(m.g, f, encs[i], stateCur[i], inputOf);
-      for (std::size_t o = stateCur[i].size(); o < fns[i].size(); ++o) {
-        const auto& [name, lit] = fns[i][o];
-        if (dcu.consumersOf.contains(name)) nextPulse[name] = lit;
-      }
-    }
-    pulseOf = std::move(nextPulse);
-  }
+  // Completion pulses can cascade within one clock (the signal graph may
+  // even be structurally cyclic, AR-lattice); networkStep unrolls the
+  // fixpoint the emitted RTL settles to.  Inputs nobody drives become free.
+  const lowering::NetworkCones net = lowering::networkStep(
+      m.g, dcu, encs, stateCur, held, [&](const std::string& in) {
+        const Lit l = m.g.findInput(in);
+        return l != kLitFalse ? l : addFree(m, in);
+      });
 
   // Register next-state cones and probes.
   std::size_t reg = 0;
   for (std::size_t i = 0; i < dcu.controllers.size(); ++i) {
     const fsm::Fsm& f = dcu.controllers[i].fsm;
     const synth::Encoding& enc = encs[i];
-    const std::uint32_t init =
-        enc.codeOf[static_cast<std::size_t>(f.initial())];
     const bool noReset = opt.controllersWithoutStateReset.contains(f.name());
     for (int b = 0; b < enc.bits; ++b, ++reg) {
-      const Lit initBit = (init >> b) & 1u ? kLitTrue : kLitFalse;
-      const Lit ns = fns[i][static_cast<std::size_t>(b)].second;
+      const Lit initBit = enc.codeBit(f.initial(), b) ? kLitTrue : kLitFalse;
+      const Lit ns = net.fns[i][static_cast<std::size_t>(b)].second;
       m.regs[reg].next = noReset ? ns : m.g.muxLit(m.rst, initBit, ns);
     }
-    for (std::size_t o = stateCur[i].size(); o < fns[i].size(); ++o) {
-      addProbe(m, "fsm " + f.name(), fns[i][o].first, fns[i][o].second);
+    for (std::size_t o = stateCur[i].size(); o < net.fns[i].size(); ++o) {
+      addProbe(m, "fsm " + f.name(), net.fns[i][o].first, net.fns[i][o].second);
     }
   }
-  for (const std::string& sig : consumed) {
-    const std::size_t r = m.heldRegOf.at(sig);
-    const Lit pulse = pulseOf.at(sig);
+  for (const auto& [sig, r] : m.heldRegOf) {
+    const Lit pulse = net.pulse.at(sig);
     const Lit clear = opt.latchesWithoutReset.contains(sig)
                           ? m.restart
                           : m.g.orLit(m.rst, m.restart);
-    m.regs[r].next =
-        m.g.andLit(aig::negate(clear), m.g.orLit(pulse, m.regs[r].cur));
+    m.regs[r].next = lowering::latchNext(m.g, m.regs[r].cur, pulse, clear);
     addProbe(m, "latch " + sig, sig + "_pulse", pulse);
     addProbe(m, "latch " + sig, sig + "_level",
-             m.g.orLit(m.regs[r].cur, pulse));
+             lowering::latchLevel(m.g, m.regs[r].cur, pulse));
   }
   return m;
 }
@@ -264,23 +210,9 @@ NetModel buildSequencerModel(const fsm::HierarchicalControlUnit& hcu,
                              const XprOptions& opt) {
   NetModel m;
   const fsm::Fsm& seq = hcu.sequencer;
-  m.rst = m.g.addInput("rst");
-  m.rstIdx = m.g.inputIndexOf(aig::nodeOf(m.rst));
-  m.restart = m.g.addInput("restart");
-  m.restartIdx = m.g.inputIndexOf(aig::nodeOf(m.restart));
-
   const synth::Encoding enc = synth::encodeStates(seq, style);
-  std::vector<Lit> stateCur;
-  StateGroup group;
-  group.fsmName = seq.name();
-  for (int b = 0; b < enc.bits; ++b) {
-    const std::size_t r =
-        addReg(m, "sequencer " + seq.name(), "state" + std::to_string(b),
-               seq.name() + ".state" + std::to_string(b));
-    stateCur.push_back(m.regs[r].cur);
-    group.regIdx.push_back(r);
-  }
-  m.stateGroups.push_back(std::move(group));
+  const std::vector<Lit> stateCur =
+      addStateRegs(m, "sequencer " + seq.name(), seq, enc.bits);
 
   std::vector<std::string> doneInputs;
   for (const std::string& in : seq.inputs()) {
@@ -295,17 +227,17 @@ NetModel buildSequencerModel(const fsm::HierarchicalControlUnit& hcu,
   std::map<std::string, Lit> inputOf;
   for (const std::string& in : seq.inputs()) {
     inputOf[in] = in.starts_with("DN_")
-                      ? m.g.orLit(m.regs[m.heldRegOf.at(in)].cur,
-                                  m.g.findInput(in + "_pulse"))
+                      ? lowering::latchLevel(m.g,
+                                             m.regs[m.heldRegOf.at(in)].cur,
+                                             m.g.findInput(in + "_pulse"))
                       : m.g.findInput(in);
   }
 
-  const lowering::FnMap fns =
-      rtlFsmFunctions(m.g, seq, enc, stateCur, inputOf);
-  const std::uint32_t init =
-      enc.codeOf[static_cast<std::size_t>(seq.initial())];
+  const lowering::FnMap fns = lowering::rtlFsmFunctions(
+      m.g, seq, enc, stateCur,
+      [&](const std::string& sig) { return inputOf.at(sig); });
   for (int b = 0; b < enc.bits; ++b) {
-    const Lit initBit = (init >> b) & 1u ? kLitTrue : kLitFalse;
+    const Lit initBit = enc.codeBit(seq.initial(), b) ? kLitTrue : kLitFalse;
     m.regs[static_cast<std::size_t>(b)].next = m.g.muxLit(
         m.rst, initBit, fns[static_cast<std::size_t>(b)].second);
   }
@@ -325,10 +257,9 @@ NetModel buildSequencerModel(const fsm::HierarchicalControlUnit& hcu,
     const Lit clear = opt.doneLatchesWithoutInit.contains(in)
                           ? rearm
                           : m.g.orLit(m.rst, rearm);
-    m.regs[r].next =
-        m.g.andLit(aig::negate(clear), m.g.orLit(pulse, m.regs[r].cur));
+    m.regs[r].next = lowering::latchNext(m.g, m.regs[r].cur, pulse, clear);
     addProbe(m, "latch " + in, in + "_level",
-             m.g.orLit(m.regs[r].cur, pulse));
+             lowering::latchLevel(m.g, m.regs[r].cur, pulse));
   }
   return m;
 }
@@ -388,7 +319,7 @@ RunResult runTernary(const NetModel& m, int r, int totalCycles,
       inputs[m.restartIdx] =
           aig::xConcrete(c == restartAt ? ~std::uint64_t{0} : 0);
       for (std::size_t f = 0; f < m.freeIns.size(); ++f) {
-        XWord v = aig::xConcrete(inputWordFor(opt.seed, f, w, c));
+        XWord v = aig::xConcrete(inputWordFor(kSeed, f, w, c));
         if (w == 0) {
           v.one &= ~std::uint64_t{1};
           v.x = 1;
@@ -598,7 +529,7 @@ char pointChar(std::uint64_t v, std::uint64_t x, bool multiBit) {
 }
 
 /// Replay the emitted RTL under ternary vsim against the binary network
-/// model: the all-X proof instance plus rtlInstances concrete power-ons.
+/// model: the all-X proof instance plus kRtlInstances concrete power-ons.
 /// Mutually-determinate bits must agree every cycle, and after the reset
 /// window the RTL may not hold X anywhere the model is determinate.
 void checkRtlAgreement(const fsm::DistributedControlUnit& dcu,
@@ -611,7 +542,7 @@ void checkRtlAgreement(const fsm::DistributedControlUnit& dcu,
   const int r = resetDepth > 0 ? resetDepth : 1;
   const int total = r + std::max(8, opt.maxCycles);
   const int restartAt = restartCycleFor(r);
-  const int instances = std::max(0, opt.rtlInstances) + 1;
+  const int instances = kRtlInstances + 1;
 
   XpropPropertyStat row;
   row.artifact = artifact;
@@ -663,7 +594,7 @@ void checkRtlAgreement(const fsm::DistributedControlUnit& dcu,
             sim.setInputX(m.freeIns[f].first);
             inputs[m.freeIns[f].second] = aig::xAllX();
           } else {
-            const bool bit = inputWordFor(opt.seed ^ 0x52544cull, f,
+            const bool bit = inputWordFor(kSeed ^ 0x52544cull, f,
                                           static_cast<std::size_t>(inst), c) &
                              1;
             sim.setInput(m.freeIns[f].first, bit ? 1 : 0);

@@ -4,7 +4,8 @@
 // The network (every unit controller, one completion latch per consumed
 // signal, wired exactly as rtl::emitDistributedTop wires them) is lowered to
 // a sequential AIG whose registers are the encoded controller state bits and
-// the latch `held` bits.  A bit-parallel ternary evaluator (aig/ternary.hpp)
+// the latch `held` bits, around the cycle cones of lowering::networkStep (the
+// lowering the symbolic model check proves its MDL properties on).  A bit-parallel ternary evaluator (aig/ternary.hpp)
 // then simulates 64 power-on instances per word from the adversarial
 // *all-X* initial state through the reset protocol:
 //
@@ -54,10 +55,6 @@ struct XprOptions {
   /// 64-lane words of concrete power-on instances (word 0 lane 0 is always
   /// the all-X proof lane).
   int words = 4;
-  /// Concrete instances replayed against the emitted RTL (plus the all-X
-  /// proof replay).
-  int rtlInstances = 3;
-  std::uint64_t seed = 0x7870726f70ull;  // "xprop"
 
   // --- fault-injection seams (mutation tests only; empty in production) ---
   /// Completion latches whose model drops the rst arc (held <= ~restart &

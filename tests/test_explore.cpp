@@ -44,14 +44,14 @@ TEST(Explore, ParetoFrontIsNonDominated) {
   ExploreOptions opt;
   opt.maxUnitsPerClass = 3;
   auto points = explore(dfg::diffeq(), opt);
-  auto front = paretoFront(points, opt.unitWeightArea);
+  auto front = paretoFront(points, kUnitWeightArea);
   EXPECT_FALSE(front.empty());
   EXPECT_LE(front.size(), points.size());
   for (const DesignPoint& f : front) {
     for (const DesignPoint& other : points) {
       const bool dominates =
           other.averageLatencyNs < f.averageLatencyNs - 1e-9 &&
-          other.cost(opt.unitWeightArea) < f.cost(opt.unitWeightArea);
+          other.cost(kUnitWeightArea) < f.cost(kUnitWeightArea);
       EXPECT_FALSE(dominates);
     }
   }
@@ -67,18 +67,18 @@ TEST(Explore, CheapestAndFastestAlwaysOnFront) {
   ExploreOptions opt;
   opt.maxUnitsPerClass = 2;
   auto points = explore(dfg::diffeq(), opt);
-  auto front = paretoFront(points, opt.unitWeightArea);
+  auto front = paretoFront(points, kUnitWeightArea);
   double bestLatency = 1e18;
   int bestCost = 1 << 30;
   for (const DesignPoint& p : points) {
     bestLatency = std::min(bestLatency, p.averageLatencyNs);
-    bestCost = std::min(bestCost, p.cost(opt.unitWeightArea));
+    bestCost = std::min(bestCost, p.cost(kUnitWeightArea));
   }
   bool frontHasBestLatency = false;
   bool frontHasBestCost = false;
   for (const DesignPoint& f : front) {
     frontHasBestLatency |= f.averageLatencyNs <= bestLatency + 1e-9;
-    frontHasBestCost |= f.cost(opt.unitWeightArea) <= bestCost;
+    frontHasBestCost |= f.cost(kUnitWeightArea) <= bestCost;
   }
   EXPECT_TRUE(frontHasBestLatency);
   EXPECT_TRUE(frontHasBestCost);

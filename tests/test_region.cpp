@@ -162,6 +162,42 @@ TEST(RegionSim, BitIdenticalAcrossThreadCounts) {
   }
 }
 
+/// `p = x * c` then `loop trips { p = p * c }` on one multiplier: a chain
+/// of trips + 1 TAU ops, each one cycle under SD and two under LD.
+sim::LatencyComparison mulChainLatency(int trips,
+                                       const std::vector<double>& ps) {
+  const RegionProgram p = dfg::parseProgram(
+      "in x, c\np = x * c\nloop " + std::to_string(trips) +
+          " {\np = p * c\n}\nout p\n",
+      "mul_chain");
+  const sched::RegionSchedule rs = sched::scheduleRegions(
+      p, {{dfg::ResourceClass::Multiplier, 1}}, tau::paperLibrary());
+  return sim::composedLatency(rs, dfg::completeBranchChoices(p, {}), ps);
+}
+
+TEST(RegionSim, ComposedChainOf65TauOpsIsExact) {
+  const std::vector<double> ps = {0.9, 0.7, 0.5};
+  const sim::LatencyComparison l = mulChainLatency(64, ps);
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    const double expected = 65 * (2.0 - ps[i]) * 15.0;
+    EXPECT_NEAR(l.dist.averageNs[i], expected, 1e-9 * expected) << ps[i];
+  }
+  EXPECT_EQ(l.dist.bestNs, 65 * 15.0);
+  EXPECT_EQ(l.dist.worstNs, 2 * 65 * 15.0);
+}
+
+TEST(RegionSim, ComposedCountOverflowThrows) {
+  // C(71, 35) masks share one bucket: past 64 bits, so the composition
+  // refuses instead of wrapping.
+  try {
+    mulChainLatency(70, {0.5});
+    ADD_FAILURE() << "71 TAU ops composed without an overflow error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("71 TAU ops"), std::string::npos)
+        << e.what();
+  }
+}
+
 // --------------------------------------------------------- sequencer FSM --
 
 TEST(RegionSequencer, WaitStatesAndHandshake) {

@@ -370,6 +370,27 @@ TEST(SymbolicClean, Fig2StatsAreFilled) {
   EXPECT_EQ(rows[0].verdict, std::string("PROVED"));
 }
 
+TEST(SymbolicClean, ControllerWiderThan32StatesProves) {
+  // One multiplier executes all sixteen products: its one-shot controller
+  // has more states than a 32-bit one-hot code holds.
+  const sched::ScheduledDfg s = sched::scheduleAndBind(
+      dfg::fir(16),
+      Allocation{{ResourceClass::Multiplier, 1}, {ResourceClass::Adder, 1}},
+      tau::paperLibrary());
+  const fsm::DistributedControlUnit dcu =
+      fsm::optimizeSignals(fsm::buildDistributed(s));
+  std::size_t widest = 0;
+  for (const fsm::UnitController& c : dcu.controllers) {
+    widest = std::max(widest, c.fsm.numStates() + 1);  // + DONE
+  }
+  ASSERT_GT(widest, 32u);
+  const SymbolicArtifact sym = symbolicModelCheck(dcu, s, nullptr);
+  EXPECT_FALSE(sym.report.hasErrors()) << renderText(sym.report);
+  for (const SymbolicProperty& p : sym.stats.properties) {
+    EXPECT_EQ(p.verdict, PropertyVerdict::Proved) << p.rule;
+  }
+}
+
 // ---- mutations produce decodable counterexamples --------------------------
 
 TEST(SymbolicMutation, CircularWaitIsMDL002Cex) {

@@ -2,10 +2,12 @@
 // (verify/xprop_check.hpp) and the don't-care soundness checker
 // (verify/dcs_check.hpp).
 //
-// Five families:
+// Six families:
 //   - clean sweeps: every paper benchmark under both binding strategies and
 //     both state encodings proves XPR001/XPR002 and DCS001/DCS002, and the
 //     composed fir_iir_loop proves XPR003 on top;
+//   - one lowering: the network cycle XPR and the symbolic model check
+//     share (lowering::networkStep) steps exactly like fsm::stepNetwork;
 //   - mutations: each injected fault (model latch without reset, controller
 //     without state reset, RTL latch without a reset arc, sequencer done
 //     latch without init, don't-care-abusing minimizer) is caught by exactly
@@ -19,10 +21,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
+#include <unordered_set>
+#include <utility>
 #include <vector>
+
+#include "aig/aig.hpp"
+#include "aig/ternary.hpp"
 
 #include "common/parallel.hpp"
 #include "core/flow.hpp"
@@ -31,6 +41,7 @@
 #include "dfg/benchmarks.hpp"
 #include "fsm/distributed.hpp"
 #include "fsm/hierarchical.hpp"
+#include "fsm/network.hpp"
 #include "fsm/signal_opt.hpp"
 #include "logic/cover.hpp"
 #include "logic/cube.hpp"
@@ -39,6 +50,7 @@
 #include "synth/extract.hpp"
 #include "tau/library.hpp"
 #include "verify/dcs_check.hpp"
+#include "verify/lowering.hpp"
 #include "verify/xprop_check.hpp"
 
 namespace tauhls::verify {
@@ -148,6 +160,145 @@ TEST(XpropClean, ComposedFirIirLoopProvesXpr003) {
     ds += checkDcs(leaf.dcu, "leaf " + leaf.path, dcsReport, {});
   }
   EXPECT_FALSE(dcsReport.hasErrors()) << renderText(dcsReport);
+}
+
+// ---- one lowering of the network cycle ------------------------------------
+
+/// Drives 240 seeded cycles of random C_* inputs through fsm::stepNetwork and
+/// through lowering::networkStep evaluated concretely, restarting both every
+/// 20 cycles (reset states, cleared latches), and compares per cycle: the
+/// decoded next state of every controller, every held latch against every
+/// consumer's NetworkConfig latch, the pulse set and the RE_* outputs.
+void expectNetworkStepMatchesStepNetwork(
+    const fsm::DistributedControlUnit& dcu, synth::EncodingStyle style,
+    const std::string& label) {
+  aig::Aig g;
+  std::map<std::string, aig::Lit> ext;
+  for (const std::string& in : dcu.externalInputs) ext[in] = g.addInput(in);
+  std::vector<synth::Encoding> encs;
+  std::vector<std::vector<aig::Lit>> state;
+  for (const fsm::UnitController& c : dcu.controllers) {
+    const synth::Encoding& enc =
+        encs.emplace_back(synth::encodeStates(c.fsm, style));
+    std::vector<aig::Lit>& bits = state.emplace_back();
+    for (int b = 0; b < enc.bits; ++b) {
+      bits.push_back(g.addInput(c.fsm.name() + ".state" + std::to_string(b)));
+    }
+  }
+  std::map<std::string, aig::Lit> held;
+  for (const auto& [sig, users] : dcu.consumersOf) {
+    held[sig] = g.addInput(sig + ".held");
+  }
+  const lowering::NetworkCones cones = lowering::networkStep(
+      g, dcu, encs, state, held,
+      [&](const std::string& sig) { return ext.at(sig); });
+
+  aig::TernaryEvaluator eval(g);
+  std::vector<aig::XWord> inputs(g.numInputs());
+  auto drive = [&](aig::Lit in, bool v) {
+    inputs[g.inputIndexOf(aig::nodeOf(in))] =
+        v ? aig::xAllOne() : aig::xAllZero();
+  };
+  auto valueOf = [&](aig::Lit l) { return (eval.value(l).one & 1) != 0; };
+  auto reOutputs = [](const std::vector<std::string>& outputs) {
+    std::set<std::string> out;
+    for (const std::string& o : outputs) {
+      if (o.starts_with("RE_")) out.insert(o);
+    }
+    return out;
+  };
+
+  std::mt19937_64 rng(0x6e6574);
+  fsm::NetworkConfig config;
+  std::vector<int> aigStates;
+  std::set<std::string> latched;  // the lowered network's held latches
+  for (int cycle = 0; cycle < 240; ++cycle) {
+    SCOPED_TRACE(label + " cycle " + std::to_string(cycle));
+    if (cycle % 20 == 0) {
+      config = fsm::initialConfig(dcu);
+      aigStates = config.states;
+      latched.clear();
+    }
+    std::unordered_set<std::string> external;
+    for (const auto& [sig, lit] : ext) {
+      const bool v = (rng() & 1) != 0;
+      if (v) external.insert(sig);
+      drive(lit, v);
+    }
+    for (std::size_t c = 0; c < state.size(); ++c) {
+      for (std::size_t b = 0; b < state[c].size(); ++b) {
+        drive(state[c][b], encs[c].codeBit(aigStates[c], static_cast<int>(b)));
+      }
+    }
+    for (const auto& [sig, lit] : held) drive(lit, latched.contains(sig));
+    eval.run(inputs);
+    const fsm::NetworkStep step = fsm::stepNetwork(dcu, config, external);
+
+    for (std::size_t c = 0; c < state.size(); ++c) {
+      std::uint32_t code = 0;
+      for (std::size_t b = 0; b < state[c].size(); ++b) {
+        if (valueOf(cones.fns[c][b].second)) code |= std::uint32_t{1} << b;
+      }
+      aigStates[c] = encs[c].stateOf(code);
+      ASSERT_EQ(aigStates[c], step.next.states[c]) << dcu.controllers[c].fsm.name();
+      std::vector<std::string> outputs;
+      for (std::size_t o = state[c].size(); o < cones.fns[c].size(); ++o) {
+        if (valueOf(cones.fns[c][o].second)) {
+          outputs.push_back(cones.fns[c][o].first);
+        }
+      }
+      ASSERT_EQ(reOutputs(outputs), reOutputs(step.outputs[c]))
+          << dcu.controllers[c].fsm.name();
+    }
+    std::unordered_set<std::string> pulses;
+    for (const auto& [sig, lit] : cones.pulse) {
+      ASSERT_EQ(valueOf(lit), valueOf(cones.prevPulse.at(sig))) << sig;
+      if (valueOf(lit)) pulses.insert(sig);
+    }
+    ASSERT_EQ(pulses, step.pulses);
+    for (const auto& [sig, lit] : held) {
+      if (pulses.contains(sig)) latched.insert(sig);
+    }
+    for (const auto& [sig, users] : dcu.consumersOf) {
+      for (const int c : users) {
+        ASSERT_EQ(latched.contains(sig),
+                  step.next.latches[static_cast<std::size_t>(c)].contains(sig))
+            << sig << " at consumer " << c;
+      }
+    }
+    config = step.next;
+  }
+}
+
+TEST(NetworkStep, MatchesStepNetwork) {
+  std::vector<std::pair<std::string, fsm::DistributedControlUnit>> designs;
+  for (const dfg::NamedBenchmark& b : dfg::paperTable2Suite()) {
+    for (const sched::BindingStrategy strategy :
+         {sched::BindingStrategy::LeftEdge,
+          sched::BindingStrategy::CliqueCover}) {
+      const sched::ScheduledDfg s = sched::scheduleAndBind(
+          b.graph, b.allocation, tau::paperLibrary(), strategy);
+      const std::string label =
+          b.name + " strategy " + std::to_string(static_cast<int>(strategy));
+      const fsm::DistributedControlUnit raw = fsm::buildDistributed(s);
+      designs.emplace_back(label + " unoptimized", raw);
+      designs.emplace_back(label, fsm::optimizeSignals(raw));
+    }
+  }
+  const core::HierFlowResult r =
+      core::runHierFlow(dfg::firIirLoop(), regionFlowConfig());
+  for (const fsm::LeafControl& leaf : r.control.leaves) {
+    designs.emplace_back("fir_iir_loop leaf " + leaf.path, leaf.dcu);
+  }
+  for (const auto& [label, dcu] : designs) {
+    for (const synth::EncodingStyle style :
+         {synth::EncodingStyle::Binary, synth::EncodingStyle::OneHot}) {
+      expectNetworkStepMatchesStepNetwork(
+          dcu, style,
+          label + (style == synth::EncodingStyle::OneHot ? " onehot"
+                                                         : " binary"));
+    }
+  }
 }
 
 // ---- mutations -------------------------------------------------------------

@@ -1,5 +1,7 @@
 #!/usr/bin/env python3
-"""The CI gates and reports over tauhlsc traces and bench JSON, one per step.
+"""The CI gates and reports over tauhlsc traces, lint reports and bench JSON.
+
+One subcommand per CI step:
 
     warm-cache TRACE.json       the second `lint --store` process serves
                                 >= 90% of its pass evaluations from the
@@ -14,8 +16,27 @@
     kernel-floors BENCH.json    `kernel_speed` speedups hold their floors:
                                 >= 3x equivalence, >= 2x Gray-code sweep
 
+and one per `tauhlsc lint --lint-json` mode, each taking
+`[--expect RULE=N ...] REPORT.json [...]`.  Belt and braces on top of
+tauhlsc's exit code, which already fails on any error-severity diagnostic:
+every mode checks that the document is a "tauhls-lint" report with zero
+errors and prints a one-line summary; the mode adds its own assertions:
+
+    equiv         nothing more (--equiv / --timing runs)
+    model-check   schema v4+, no MDL007 bound warning, a non-empty "symbolic"
+                  section in which every property is PROVED by k-induction
+                  (inductionK >= 1)
+    regions       no MDL007 bound warning (hierarchical --model-check runs;
+                  pair with --expect MDL008=<leaves>)
+    xprop         schema v5+, a non-empty "xprop" section in which every
+                  property is PROVED, and no rule skipped by --only
+
+--expect RULE=N (repeatable) additionally requires exactly N diagnostics
+with code RULE in every report.
+
 Usage: check_ci.py GATE FILE
-Exits 1 with a message when a gate fails.
+       check_ci.py MODE [--expect RULE=N ...] REPORT.json [...]
+Exits 1 with a message when a gate fails (the first failed report).
 """
 
 import argparse
@@ -125,6 +146,56 @@ def kernel_floors(path):
     return None
 
 
+MIN_LINT_VERSION = {"model-check": 4, "xprop": 5}
+
+
+def check_lint(path, mode, expect):
+    report = json.load(open(path))
+    if report.get("schema") != "tauhls-lint":
+        return f"{path}: not a tauhls-lint report"
+    if report["version"] < MIN_LINT_VERSION.get(mode, 0):
+        return f"{path}: schema v{report['version']} predates {mode} rows"
+    by_rule = report["byRule"]
+    summary = (f"{path}: schema v{report['version']}, {report['errors']} "
+               f"errors, {report['warnings']} warnings")
+
+    if mode in ("model-check", "regions") and by_rule.get("MDL007"):
+        return f"{path}: MDL007 still present in {by_rule}"
+    if mode in ("model-check", "xprop"):
+        section = "symbolic" if mode == "model-check" else "xprop"
+        rows = report[section]
+        bad = [r for r in rows if r["verdict"] != "PROVED"
+               or (mode == "model-check" and r["inductionK"] < 1)]
+        summary += f", {len(rows) - len(bad)}/{len(rows)} {section} proved"
+        if bad:
+            return f"{path}: unproved properties: {bad}"
+        if not rows:
+            return f"{path}: the {section} checker never ran"
+    if mode == "xprop" and report["skipped"]:
+        return f"{path}: rules skipped: {report['skipped']}"
+    for rule, count in expect.items():
+        if by_rule.get(rule, 0) != count:
+            return f"{path}: expected {count} {rule}, got {by_rule}"
+    if report["errors"]:
+        return f"{path}: {report['errors']} error diagnostics"
+    print(f"{summary}; rules fired: {by_rule}")
+    return None
+
+
+def lint_reports(mode, expect_items, paths):
+    expect = {}
+    for item in expect_items:
+        rule, _, count = item.partition("=")
+        expect[rule] = int(count)
+    for path in paths:
+        failure = check_lint(path, mode, expect)
+        if failure:
+            return failure
+    return None
+
+
+LINT_MODES = ["equiv", "model-check", "regions", "xprop"]
+
 GATES = {
     "warm-cache": warm_cache,
     "micro-perf": micro_perf,
@@ -135,10 +206,19 @@ GATES = {
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("gate", choices=sorted(GATES))
-    parser.add_argument("file")
+    subcommands = parser.add_subparsers(dest="gate", required=True)
+    for gate in sorted(GATES):
+        subcommands.add_parser(gate).add_argument("file")
+    for mode in LINT_MODES:
+        lint = subcommands.add_parser(mode)
+        lint.add_argument("--expect", action="append", default=[],
+                          metavar="RULE=N")
+        lint.add_argument("reports", nargs="+")
     args = parser.parse_args()
-    failure = GATES[args.gate](args.file)
+    if args.gate in GATES:
+        failure = GATES[args.gate](args.file)
+    else:
+        failure = lint_reports(args.gate, args.expect, args.reports)
     if failure:
         sys.exit(failure)
 
