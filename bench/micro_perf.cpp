@@ -282,6 +282,32 @@ void BM_SynthesizeCentSync(benchmark::State& state) {
 }
 BENCHMARK(BM_SynthesizeCentSync);
 
+// Cold synthesis of the widest controller explore() meets on AR-lattice:
+// the adder controller under one adder, binary (4 state bits + 16 inputs =
+// 20 variables, on the cube-domain expand path).  Each iteration declares
+// one more output, never asserted: the structural key changes, so every
+// iteration synthesizes cold, and the extra outputs share one empty
+// function.
+void BM_SynthesizeWideController(benchmark::State& state) {
+  const fsm::DistributedControlUnit dcu =
+      fsm::buildDistributed(sched::scheduleAndBind(
+          dfg::arLattice(),
+          {{dfg::ResourceClass::Multiplier, 4}, {dfg::ResourceClass::Adder, 1}},
+          tau::paperLibrary()));
+  fsm::Fsm adder = dcu.controllers.front().fsm;
+  for (const fsm::UnitController& c : dcu.controllers) {
+    if (c.fsm.name() == "D_FSM_adder1") adder = c.fsm;
+  }
+  int pads = 0;
+  for (auto _ : state) {
+    adder.addOutput("pad" + std::to_string(pads++));
+    benchmark::DoNotOptimize(synth::synthesize(adder));
+  }
+  state.SetLabel(std::to_string(adder.flipFlopCount()) + " state bits + " +
+                 std::to_string(adder.inputs().size()) + " inputs");
+}
+BENCHMARK(BM_SynthesizeWideController)->Unit(benchmark::kMillisecond);
+
 void BM_QmMinimize10Var(benchmark::State& state) {
   logic::TruthTable tt(10);
   std::uint64_t x = 0x9E3779B97F4A7C15ull;

@@ -15,6 +15,12 @@ namespace tauhls::logic {
 
 namespace {
 
+/// The mask of variables 0..numVars-1.
+std::uint64_t varsMask(int numVars) {
+  return numVars == 64 ? ~std::uint64_t{0}
+                       : (std::uint64_t{1} << numVars) - 1;
+}
+
 struct CubeKey {
   std::uint64_t care;
   std::uint64_t value;
@@ -130,6 +136,31 @@ std::vector<Cube> qmPrimes(const TruthTable& tt) {
   return primes;
 }
 
+/// Sort primes into the order QM emits them on the full table.  It emits
+/// level by level (popcount of the free mask F), and within a level in
+/// order of first generation.  Level 0 is the unmerged minterms, by
+/// ascending value.  Above it, a cube's first merge drops its lowest free
+/// variable b: it comes from the bucket (care | b, popcount(value)), whose
+/// lower cube has the cube's own value and whose partner is value | b.
+/// Buckets run in (care, popcount) order, lower cubes in ascending value,
+/// partners in ascending variable.
+void sortInQmOrder(std::vector<Cube>& primes) {
+  if (primes.empty()) return;
+  const std::uint64_t all = varsMask(primes.front().numVars());
+  const auto key = [all](const Cube& c) {
+    const std::uint64_t free = all & ~c.careMask();
+    if (free == 0) {
+      return std::tuple(0, std::uint64_t{0}, 0, c.valueMask(),
+                        std::uint64_t{0});
+    }
+    const std::uint64_t b = std::uint64_t{1} << std::countr_zero(free);
+    return std::tuple(std::popcount(free), c.careMask() | b,
+                      std::popcount(c.valueMask()), c.valueMask(), b);
+  };
+  std::sort(primes.begin(), primes.end(),
+            [&key](const Cube& a, const Cube& b) { return key(a) < key(b); });
+}
+
 /// The variables `tt` reads: v is unread when flipping it never changes a
 /// row's value, don't-cares included.
 std::uint64_t supportMask(const TruthTable& tt) {
@@ -178,21 +209,7 @@ std::vector<Cube> primeImplicants(const TruthTable& tt) {
     primes.push_back(c);
   }
 
-  // Restore the order QM emits on the full table.  It emits level by level
-  // (popcount of the free mask F), and within a level in order of first
-  // generation.  A cube's first merge drops its lowest free variable b: it
-  // comes from the bucket (care | b, popcount(value)), whose lower cube has
-  // the cube's own value and whose partner is value | b.  Buckets run in
-  // (care, popcount) order, lower cubes in ascending value, partners in
-  // ascending variable.  Every lifted prime has F != 0, so b exists.
-  const auto key = [all](const Cube& c) {
-    const std::uint64_t free = all & ~c.careMask();
-    const std::uint64_t b = std::uint64_t{1} << std::countr_zero(free);
-    return std::tuple(std::popcount(free), c.careMask() | b,
-                      std::popcount(c.valueMask()), c.valueMask(), b);
-  };
-  std::sort(primes.begin(), primes.end(),
-            [&key](const Cube& a, const Cube& b) { return key(a) < key(b); });
+  sortInQmOrder(primes);
   return primes;
 }
 
@@ -308,17 +325,17 @@ Cover coverFromPrimes(const TruthTable& tt, const std::vector<Cube>& primes) {
     if (selected[p]) result.add(primes[p]);
   }
   result.removeContained();
+  TAUHLS_ASSERT(implements(result, tt),
+                "prime cover does not implement the table");
   return result;
 }
 
 }  // namespace
 
 Cover minimizeExact(const TruthTable& tt) {
-  Cover cover = coverFromPrimes(tt, gMinimizerImpl == MinimizerImpl::Reference
-                                        ? primeImplicantsReference(tt)
-                                        : primeImplicants(tt));
-  TAUHLS_ASSERT(implements(cover, tt), "QM produced a non-implementing cover");
-  return cover;
+  return coverFromPrimes(tt, gMinimizerImpl == MinimizerImpl::Reference
+                                 ? primeImplicantsReference(tt)
+                                 : primeImplicants(tt));
 }
 
 namespace {
@@ -448,21 +465,31 @@ void setMinimizerImpl(MinimizerImpl impl) { gMinimizerImpl = impl; }
 
 MinimizerImpl minimizerImpl() { return gMinimizerImpl; }
 
-Cover minimize(const TruthTable& tt) {
-  const auto expand = [&tt] {
-    return gMinimizerImpl == MinimizerImpl::Reference
-               ? minimizeExpandReference(tt)
-               : minimizeExpand(tt);
-  };
-  if (tt.numVars() > 14) return expand();
-  // QM's cost is driven by the onset+dc minterm count; when don't-cares
-  // dominate (e.g. sparse one-hot encodings) the heuristic is far cheaper
-  // and loses almost nothing.
-  std::uint64_t careOnPlusDc = 0;
+namespace {
+
+/// minimize()'s dispatch: exact QM up to this many variables...
+constexpr int kExactMaxVars = 14;
+/// ...and this many onset + dc rows.  QM's cost is driven by the onset+dc
+/// minterm count; when don't-cares dominate (e.g. sparse one-hot encodings)
+/// the heuristic is far cheaper and loses almost nothing.
+constexpr std::uint64_t kExactMaxOnPlusDc = 4096;
+
+bool takesExactPath(const TruthTable& tt) {
+  if (tt.numVars() > kExactMaxVars) return false;
+  std::uint64_t onPlusDc = 0;
   for (std::uint64_t r = 0; r < tt.numRows(); ++r) {
-    careOnPlusDc += tt.get(r) != Ternary::Zero;
+    onPlusDc += tt.get(r) != Ternary::Zero;
   }
-  return careOnPlusDc <= 4096 ? minimizeExact(tt) : expand();
+  return onPlusDc <= kExactMaxOnPlusDc;
+}
+
+}  // namespace
+
+Cover minimize(const TruthTable& tt) {
+  if (takesExactPath(tt)) return minimizeExact(tt);
+  return gMinimizerImpl == MinimizerImpl::Reference
+             ? minimizeExpandReference(tt)
+             : minimizeExpand(tt);
 }
 
 bool implements(const Cover& cover, const TruthTable& spec) {
@@ -474,6 +501,201 @@ bool implements(const Cover& cover, const TruthTable& spec) {
     if (cover.evaluate(r) != (want == Ternary::One)) return false;
   }
   return true;
+}
+
+// --- cube engines ------------------------------------------------------------
+//
+// Cubes are raw (care, value) masks here; Cube's checked accessors cost more
+// than the work in the inner loops.
+
+namespace {
+
+struct Term {
+  std::uint64_t care;
+  std::uint64_t value;  ///< zero outside care
+};
+
+bool meets(const Term& a, const Term& b) {
+  return ((a.value ^ b.value) & a.care & b.care) == 0;
+}
+
+bool containsTerm(const Term& big, const Term& small) {
+  return (big.care & ~small.care) == 0 &&
+         ((big.value ^ small.value) & big.care) == 0;
+}
+
+std::vector<Term> termsOf(const std::vector<Cube>& cubes, int numVars) {
+  std::vector<Term> out;
+  out.reserve(cubes.size());
+  for (const Cube& c : cubes) {
+    TAUHLS_CHECK(c.numVars() == numVars, "cube arity mismatch with function");
+    out.push_back({c.careMask(), c.valueMask()});
+  }
+  return out;
+}
+
+/// pieces := pieces minus c, as disjoint cubes: a piece p that meets c is
+/// split on each literal of c that p lacks, in ascending variable order.
+void sharp(std::vector<Term>& pieces, const Term& c,
+           std::vector<Term>& scratch) {
+  scratch.clear();
+  for (Term p : pieces) {
+    if (!meets(p, c)) {
+      scratch.push_back(p);
+      continue;
+    }
+    for (std::uint64_t split = c.care & ~p.care; split != 0;
+         split &= split - 1) {
+      const std::uint64_t bit = split & (~split + 1);
+      scratch.push_back({p.care | bit, p.value | (~c.value & bit)});
+      p.care |= bit;
+      p.value |= c.value & bit;
+    }
+  }
+  pieces.swap(scratch);
+}
+
+}  // namespace
+
+TruthTable toTruthTable(const CubeFunction& f) {
+  TruthTable tt(f.numVars);
+  for (std::uint64_t r = 0; r < tt.numRows(); ++r) {
+    tt.set(r, Ternary::DontCare);
+  }
+  const auto fill = [&tt](const std::vector<Cube>& cubes, Ternary v) {
+    for (const Cube& c : cubes) {
+      // Walk the subsets of the free mask: every minterm of c.
+      const std::uint64_t free = (tt.numRows() - 1) & ~c.careMask();
+      std::uint64_t sub = 0;
+      do {
+        tt.set(c.valueMask() | sub, v);
+        sub = (sub - free) & free;
+      } while (sub != 0);
+    }
+  };
+  fill(f.offset, Ternary::Zero);
+  fill(f.onset, Ternary::One);
+  return tt;
+}
+
+std::optional<std::vector<Cube>> primesFromOffset(const CubeFunction& f,
+                                                  std::size_t cap) {
+  // The frontier is the product of the complements of the offset cubes read
+  // so far, free of absorbed cubes; it starts as the constant 1.
+  std::vector<Term> frontier = {{0, 0}};
+  std::vector<Term> next;
+  std::vector<Term> fresh;
+  for (const Term& o : termsOf(f.offset, f.numVars)) {
+    // A frontier cube off o already implies NOT o and stays.  One that
+    // meets o is multiplied by the sum of o's complemented literals, less
+    // the ones it contradicts.
+    next.clear();
+    fresh.clear();
+    for (const Term& p : frontier) {
+      if (!meets(p, o)) {
+        next.push_back(p);
+        continue;
+      }
+      for (std::uint64_t m = o.care & ~p.care; m != 0; m &= m - 1) {
+        const std::uint64_t bit = m & (~m + 1);
+        fresh.push_back({p.care | bit, p.value | (~o.value & bit)});
+      }
+    }
+    // Absorption.  A kept cube is never inside a fresh one: that fresh cube
+    // lies inside a frontier cube that meets o, and the frontier had no
+    // absorbed cubes.  A fresh cube is kept unless a kept cube or an
+    // earlier fresh cube with no more literals contains it; containment
+    // needs no more literals, so visiting fresh cubes by literal count
+    // settles each against every cube that could absorb it.
+    std::stable_sort(fresh.begin(), fresh.end(),
+                     [](const Term& a, const Term& b) {
+                       return std::popcount(a.care) < std::popcount(b.care);
+                     });
+    if (next.size() > cap) return std::nullopt;
+    for (const Term& q : fresh) {
+      const bool absorbed =
+          std::any_of(next.begin(), next.end(),
+                      [&q](const Term& k) { return containsTerm(k, q); });
+      if (absorbed) continue;
+      next.push_back(q);
+      if (next.size() > cap) return std::nullopt;
+    }
+    frontier.swap(next);
+  }
+  std::vector<Cube> primes;
+  primes.reserve(frontier.size());
+  for (const Term& p : frontier) {
+    primes.push_back(Cube::fromMasks(f.numVars, p.care, p.value));
+  }
+  sortInQmOrder(primes);
+  return primes;
+}
+
+Cover expandCubes(const CubeFunction& f) {
+  const int vars = f.numVars;
+  const std::vector<Term> offset = termsOf(f.offset, vars);
+  std::vector<Term> uncovered = termsOf(f.onset, vars);
+  std::vector<Term> scratch;
+  // conflict[i]: the literals of the growing cube that contradict offset
+  // cube i.  The cube stays off the offset, so none is empty; dropping
+  // literal v makes the cube meet offset cube i exactly when conflict[i]
+  // is {v} alone.
+  std::vector<std::uint64_t> conflict(offset.size());
+  Cover result(vars);
+  while (!uncovered.empty()) {
+    // The smallest uncovered onset minterm: each piece's smallest minterm
+    // is its value.
+    std::uint64_t seed = uncovered.front().value;
+    for (const Term& p : uncovered) seed = std::min(seed, p.value);
+    Term cube{varsMask(vars), seed};
+    for (std::size_t i = 0; i < offset.size(); ++i) {
+      conflict[i] = (seed ^ offset[i].value) & offset[i].care;
+    }
+    for (int v = 0; v < vars; ++v) {
+      const std::uint64_t bit = std::uint64_t{1} << v;
+      if (std::find(conflict.begin(), conflict.end(), bit) != conflict.end()) {
+        continue;
+      }
+      cube.care &= ~bit;
+      cube.value &= ~bit;
+      for (std::uint64_t& c : conflict) c &= ~bit;
+    }
+    result.add(Cube::fromMasks(vars, cube.care, cube.value));
+    sharp(uncovered, cube, scratch);
+  }
+  result.removeContained();
+  TAUHLS_ASSERT(implements(result, f),
+                "cube expand produced a non-implementing cover");
+  return result;
+}
+
+bool implements(const Cover& cover, const CubeFunction& f) {
+  TAUHLS_CHECK(cover.numVars() == f.numVars,
+               "cover/spec variable count mismatch");
+  const std::vector<Term> offset = termsOf(f.offset, f.numVars);
+  std::vector<Term> uncovered = termsOf(f.onset, f.numVars);
+  std::vector<Term> scratch;
+  for (const Cube& c : cover.cubes()) {
+    const Term t{c.careMask(), c.valueMask()};
+    for (const Term& o : offset) {
+      if (meets(t, o)) return false;
+    }
+    sharp(uncovered, t, scratch);
+  }
+  return uncovered.empty();
+}
+
+Cover minimize(const CubeFunction& f) {
+  if (f.onset.empty()) return Cover(f.numVars);
+  if (f.numVars <= kExactMaxVars) {
+    const TruthTable tt = toTruthTable(f);
+    if (takesExactPath(tt)) {
+      std::optional<std::vector<Cube>> primes = primesFromOffset(f);
+      if (!primes) primes = primeImplicants(tt);
+      return coverFromPrimes(tt, *primes);
+    }
+  }
+  return expandCubes(f);
 }
 
 }  // namespace tauhls::logic

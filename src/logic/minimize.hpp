@@ -1,15 +1,28 @@
 // Two-level minimization.
 //
-// Two engines:
+// A function is given either as an explicit TruthTable or as cube lists
+// (CubeFunction: onset and offset cubes, don't-care elsewhere).
+//
+// Table engines (the Reference regime, and the oracle of the cube engines):
 //  * minimizeExact: Quine-McCluskey prime generation + essential extraction +
 //    greedy cover of the remainder.  Exact primes; near-minimal covers.
 //    Practical up to ~14 variables.
 //  * minimizeExpand: ESPRESSO-style single-cube expansion against the offset;
 //    heuristic but fast, handles larger variable counts.
 //
+// Cube engines (synth::synthesize's Fast regime; no row sweep):
+//  * primesFromOffset: the exact primes by Nelson's method, multiplying out
+//    the complement of the offset, in QM's emission order.
+//  * expandCubes: minimizeExpand's decisions on cube lists, at any width up
+//    to 64 variables.
+//
 // minimize() dispatches on variable count.  All results are verified
 // implementable against the spec by `implements`.
 #pragma once
+
+#include <cstddef>
+#include <optional>
+#include <vector>
 
 #include "logic/cover.hpp"
 #include "logic/truth_table.hpp"
@@ -49,11 +62,11 @@ Cover minimizeExpandReference(const TruthTable& tt);
 
 /// Which implementations minimize()/minimizeExact() dispatch to: Fast (the
 /// bit-parallel expand and sort+hash QM above) or Reference (the original
-/// scalar scans).  synth::synthesize keys its truth-table row sweep and its
-/// synthesis cache off the same hook (compiled bitmask guards and cached,
-/// deduplicated tables vs per-row Fsm::step, uncached).  Results are
-/// identical either way; a bench/test hook (bench/kernel_speed.cpp times
-/// the equivalence suite under both regimes).
+/// scalar scans).  synth::synthesize keys its extraction and its synthesis
+/// cache off the same hook (cube lists, the cube engines and cached,
+/// deduplicated functions vs one table row per Fsm::step, uncached).
+/// Results are identical either way; a bench/test hook
+/// (bench/kernel_speed.cpp times the equivalence suite under both regimes).
 enum class MinimizerImpl { Fast, Reference };
 void setMinimizerImpl(MinimizerImpl impl);
 MinimizerImpl minimizerImpl();
@@ -66,5 +79,51 @@ Cover minimize(const TruthTable& tt);
 /// True when `cover` is 1 on every onset row and 0 on every offset row of
 /// `spec` (don't-cares unconstrained).
 bool implements(const Cover& cover, const TruthTable& spec);
+
+// --- cube engines ------------------------------------------------------------
+
+/// A single-output function of up to 64 variables as cube lists: 1 on the
+/// onset cubes, 0 on the offset cubes, don't-care everywhere else.  The two
+/// lists must not meet; cubes within one list may overlap.
+struct CubeFunction {
+  int numVars = 0;
+  std::vector<Cube> onset;
+  std::vector<Cube> offset;
+};
+
+/// The explicit table of `f` (at most 24 variables).
+TruthTable toTruthTable(const CubeFunction& f);
+
+/// primesFromOffset gives up past this many cubes in one intermediate
+/// product (the callers then run primeImplicants on the table).
+inline constexpr std::size_t kNelsonCubeCap = 1024;
+
+/// The prime implicants of onset + dc, by Nelson's method: the product of
+/// the complements of the offset cubes, multiplied out with absorption, is
+/// exactly the set of primes.  Emitted in primeImplicants' order: minterm
+/// primes first by ascending value, then by its sort key.  nullopt when an
+/// intermediate product passes `cap` cubes; tests lift the cap to check the
+/// method on functions whose products grow past it.
+std::optional<std::vector<Cube>> primesFromOffset(
+    const CubeFunction& f, std::size_t cap = kNelsonCubeCap);
+
+/// minimizeExpand on cube lists, with the same decisions in the same order:
+/// the uncovered onset is a list of disjoint cubes, sharped by each new
+/// cover cube; the next seed is its smallest minterm; literal v (v = 0, 1,
+/// ...) is dropped when the widened cube meets no offset cube.  Equal to
+/// minimizeExpand(toTruthTable(f)) cube for cube.
+Cover expandCubes(const CubeFunction& f);
+
+/// True when no cube of `cover` meets an offset cube and `cover` covers
+/// every onset cube.
+bool implements(const Cover& cover, const CubeFunction& f);
+
+/// The cube-domain dispatch, equal to minimize(toTruthTable(f)) under
+/// MinimizerImpl::Fast at every width that table admits.  Up to 14
+/// variables it builds the table (at most 16K rows) and, when onset + dc is
+/// at most 4096 rows, covers the table from primesFromOffset's primes
+/// (primeImplicants past the cap); otherwise it runs expandCubes, with no
+/// table at all.
+Cover minimize(const CubeFunction& f);
 
 }  // namespace tauhls::logic

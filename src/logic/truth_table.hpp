@@ -1,6 +1,7 @@
 // Explicit truth table with don't-cares, for single-output functions of up to
-// 24 variables (16M rows).  FSM logic extraction produces one of these per
-// next-state bit / output signal.
+// 24 variables (16M rows).  The Reference regime's FSM logic extraction
+// produces one of these per next-state bit / output signal; the Fast regime
+// builds one from cube lists only up to 14 variables (logic/minimize.hpp).
 #pragma once
 
 #include <cstdint>

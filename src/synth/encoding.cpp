@@ -6,7 +6,7 @@
 
 namespace tauhls::synth {
 
-int Encoding::stateOf(std::uint32_t code) const {
+int Encoding::stateOf(std::uint64_t code) const {
   const std::size_t states = codeOf.size();
   if (style == EncodingStyle::Binary) {
     return code < states ? static_cast<int>(code) : -1;

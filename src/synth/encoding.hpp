@@ -23,11 +23,12 @@ struct Encoding {
   /// Bit `bit` of the code of state `state`.
   bool codeBit(int state, int bit) const;
 
-  /// State id for `code`; -1 when the code is unused (a don't-care row).
-  /// Decodes directly from the code assignment encodeStates makes (binary:
-  /// code == state id; one-hot: the single set bit), so the 2^n-row
-  /// extraction sweep pays O(1) per row instead of a scan over every code.
-  int stateOf(std::uint32_t code) const;
+  /// State id for `code`, bit b of which is state bit b; -1 when the code
+  /// is unused (a don't-care row).  Decodes directly from the code
+  /// assignment encodeStates makes (binary: code == state id; one-hot: the
+  /// index of the single set bit), so it covers every machine of at most 64
+  /// state bits -- every one synthesize() accepts -- in O(1).
+  int stateOf(std::uint64_t code) const;
 };
 
 Encoding encodeStates(const fsm::Fsm& fsm, EncodingStyle style);

@@ -101,84 +101,71 @@ void extractReference(const fsm::Fsm& fsm, const Encoding& enc,
   }
 }
 
-/// The fast extraction.  Guards are compiled to (care, value) bitmask terms
-/// and one sweep records, per row, the transition that fires there (-1 on a
-/// don't-care row).  validateFsm has already proven exactly one transition
-/// fires per assignment, so first-match is the unique match and the rows
-/// are identical to stepping the machine.  Every next-state bit and output
-/// is then a function of the fired transition alone: two functions whose
-/// values agree on every transition that fires somewhere have identical
-/// tables (RE_i and CCO_i, both asserted exactly on the completing cycle,
-/// are the common case), so each distinct table is built and minimized
-/// once, one at a time.
+/// The fast extraction, in the cube domain.  Guards are compiled to
+/// (care, value) terms over the inputs, and each term of a transition,
+/// conjoined with the source state's code, is one cube over the state bits
+/// and inputs.  validateFsm has already proven exactly one transition fires
+/// per assignment, so a transition fires somewhere exactly when its source
+/// is reachable and its guard has a term, and the cubes of distinct
+/// transitions never meet.  Every next-state bit and output is a function
+/// of the fired transition alone: its onset is the cubes of the firing
+/// transitions on which it is 1, its offset those on which it is 0, and
+/// every other row (an unreachable or undecodable state code) is a
+/// don't-care.  Two functions whose values agree on every firing transition
+/// are the same function (RE_i and CCO_i, both asserted exactly on the
+/// completing cycle, are the common case), so each distinct one is
+/// minimized once.
 void extractFast(const fsm::Fsm& fsm, const Encoding& enc,
                  const std::vector<bool>& reachable, SynthesizedFsm& out) {
-  const int numInputs = static_cast<int>(fsm.inputs().size());
-  const int numVars = enc.bits + numInputs;
+  const int numVars = enc.bits + static_cast<int>(fsm.inputs().size());
   const std::unordered_map<std::string, int> inputIndex =
       indexOf(fsm.inputs());
   const std::unordered_map<std::string, int> outputIndex =
       indexOf(fsm.outputs());
 
-  struct CompiledTransition {
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> terms;  // care, value
-    std::uint32_t nextCode = 0;
+  struct FiringTransition {
+    std::vector<logic::Cube> cubes;
+    int to = 0;
     std::vector<char> outputOn;
   };
-  std::vector<CompiledTransition> compiled;
-  std::vector<std::vector<std::int32_t>> leaving(fsm.numStates());
+  std::vector<FiringTransition> firing;
   for (const fsm::Transition& t : fsm.transitions()) {
-    CompiledTransition ct;
+    if (!reachable[static_cast<std::size_t>(t.from)]) continue;
+    std::uint64_t stateCare = 0;
+    std::uint64_t stateValue = 0;
+    for (int b = 0; b < enc.bits; ++b) {
+      const std::uint64_t bit = std::uint64_t{1} << b;
+      stateCare |= bit;
+      if (enc.codeBit(t.from, b)) stateValue |= bit;
+    }
+    FiringTransition ft;
     for (const fsm::GuardTerm& term : t.guard.terms()) {
-      std::uint64_t care = 0;
-      std::uint64_t value = 0;
+      std::uint64_t care = stateCare;
+      std::uint64_t value = stateValue;
       for (const auto& [sig, positive] : term.literals) {
-        const std::uint64_t bit = std::uint64_t{1} << inputIndex.at(sig);
+        const std::uint64_t bit = std::uint64_t{1}
+                                  << (enc.bits + inputIndex.at(sig));
         care |= bit;
         if (positive) value |= bit;
       }
-      ct.terms.emplace_back(care, value);
+      ft.cubes.push_back(logic::Cube::fromMasks(numVars, care, value));
     }
-    ct.nextCode = enc.codeOf[t.to];
-    ct.outputOn.assign(fsm.outputs().size(), 0);
-    for (const std::string& sig : t.outputs) ct.outputOn[outputIndex.at(sig)] = 1;
-    leaving[t.from].push_back(static_cast<std::int32_t>(compiled.size()));
-    compiled.push_back(std::move(ct));
+    if (ft.cubes.empty()) continue;
+    ft.to = t.to;
+    ft.outputOn.assign(fsm.outputs().size(), 0);
+    for (const std::string& sig : t.outputs) {
+      ft.outputOn[outputIndex.at(sig)] = 1;
+    }
+    firing.push_back(std::move(ft));
   }
 
-  const std::uint64_t rows = std::uint64_t{1} << numVars;
-  const std::uint64_t codeMask = (std::uint64_t{1} << enc.bits) - 1;
-  std::vector<std::int32_t> firedAt(rows, -1);
-  std::vector<char> fires(compiled.size(), 0);
-  for (std::uint64_t row = 0; row < rows; ++row) {
-    const int state = enc.stateOf(static_cast<std::uint32_t>(row & codeMask));
-    if (state < 0 || !reachable[state]) continue;
-    const std::uint64_t inputBits = row >> enc.bits;
-    std::int32_t fired = -1;
-    for (const std::int32_t t : leaving[static_cast<std::size_t>(state)]) {
-      for (const auto& [care, value] : compiled[t].terms) {
-        if ((inputBits & care) == value) {
-          fired = t;
-          break;
-        }
-      }
-      if (fired >= 0) break;
-    }
-    TAUHLS_CHECK(fired >= 0, "no transition fires from state " +
-                                 fsm.stateName(state) + " in " + fsm.name());
-    firedAt[row] = fired;
-    fires[static_cast<std::size_t>(fired)] = 1;
-  }
-
-  // Function f's value on each transition that fires: f < bits is
-  // next-state bit f, the rest are outputs.  Transitions that never fire
-  // read 0, so equal signatures mean equal tables.
+  // Function f's value on each firing transition: f < bits is next-state
+  // bit f, the rest are outputs.
   const auto signature = [&](int f) {
-    std::vector<char> sig(compiled.size(), 0);
-    for (std::size_t t = 0; t < compiled.size(); ++t) {
-      if (!fires[t]) continue;
-      sig[t] = f < enc.bits ? static_cast<char>((compiled[t].nextCode >> f) & 1)
-                            : compiled[t].outputOn[f - enc.bits];
+    std::vector<char> sig(firing.size(), 0);
+    for (std::size_t t = 0; t < firing.size(); ++t) {
+      sig[t] = f < enc.bits ? static_cast<char>(enc.codeBit(firing[t].to, f))
+                            : firing[t].outputOn[f - enc.bits];
     }
     return sig;
   };
@@ -187,14 +174,13 @@ void extractFast(const fsm::Fsm& fsm, const Encoding& enc,
     std::vector<char> sig = signature(f);
     const auto it = minimized.find(sig);
     if (it != minimized.end()) return it->second;
-    logic::TruthTable tt(numVars);
-    for (std::uint64_t row = 0; row < rows; ++row) {
-      const std::int32_t t = firedAt[row];
-      tt.set(row, t < 0      ? logic::Ternary::DontCare
-                  : sig[t]   ? logic::Ternary::One
-                             : logic::Ternary::Zero);
+    logic::CubeFunction fn;
+    fn.numVars = numVars;
+    for (std::size_t t = 0; t < firing.size(); ++t) {
+      std::vector<logic::Cube>& side = sig[t] ? fn.onset : fn.offset;
+      side.insert(side.end(), firing[t].cubes.begin(), firing[t].cubes.end());
     }
-    return minimized.emplace(std::move(sig), logic::minimize(tt))
+    return minimized.emplace(std::move(sig), logic::minimize(fn))
         .first->second;
   };
   for (int b = 0; b < enc.bits; ++b) out.nextStateLogic.push_back(cover(b));
@@ -207,8 +193,10 @@ SynthesizedFsm synthesizeUncached(const fsm::Fsm& fsm, EncodingStyle style) {
   fsm::validateFsm(fsm);
   const Encoding enc = encodeStates(fsm, style);
   const int numInputs = static_cast<int>(fsm.inputs().size());
-  TAUHLS_CHECK(enc.bits + numInputs <= 22,
-               "FSM too large for explicit logic extraction: " + fsm.name());
+  const bool fast = logic::minimizerImpl() == logic::MinimizerImpl::Fast;
+  TAUHLS_CHECK(
+      enc.bits + numInputs <= (fast ? kMaxFastVars : kMaxReferenceVars),
+      "FSM too large for explicit logic extraction: " + fsm.name());
 
   SynthesizedFsm out;
   out.name = fsm.name();
@@ -217,7 +205,7 @@ SynthesizedFsm synthesizeUncached(const fsm::Fsm& fsm, EncodingStyle style) {
   out.numStates = static_cast<int>(fsm.numStates());
   out.flipFlops = enc.bits;
   const std::vector<bool> reachable = reachableStates(fsm);
-  if (logic::minimizerImpl() == logic::MinimizerImpl::Fast) {
+  if (fast) {
     extractFast(fsm, enc, reachable, out);
   } else {
     extractReference(fsm, enc, reachable, out);

@@ -4,8 +4,11 @@
 // then the declared input signals.  Rows whose state-bit pattern decodes to
 // no state (or to an unreachable one) are don't-cares, which is where binary
 // encoding recovers area.  Each function is minimized with the logic module
-// (exact QM up to 14 variables, heuristic expansion beyond) and re-verified
-// against its specification.
+// (exact primes up to 14 variables, heuristic expansion beyond) and
+// re-verified against its specification.  The Fast regime reads each
+// function's onset and offset as cube lists off the transitions and builds
+// no truth table above 14 variables; the Reference regime fills one table
+// row per assignment.
 #pragma once
 
 #include <string>
@@ -15,6 +18,12 @@
 #include "synth/encoding.hpp"
 
 namespace tauhls::synth {
+
+/// The widest controller (state bits + inputs) synthesize() extracts: the
+/// Fast regime is bounded by a cube's 64 variables, the Reference regime by
+/// its 2^n-row tables.
+inline constexpr int kMaxFastVars = 64;
+inline constexpr int kMaxReferenceVars = 22;
 
 struct SynthesizedFsm {
   std::string name;
@@ -36,6 +45,8 @@ struct SynthesizedFsm {
 std::vector<bool> reachableStates(const fsm::Fsm& fsm);
 
 /// Synthesize `fsm` (which must be valid: deterministic and complete).
+/// Throws when its state bits + inputs exceed kMaxFastVars (Fast) or
+/// kMaxReferenceVars (Reference).
 ///
 /// Each distinct controller is synthesized once per process.  Results are
 /// cached by a 128-bit structural key over everything the covers depend on
@@ -48,8 +59,8 @@ std::vector<bool> reachableStates(const fsm::Fsm& fsm);
 /// its result.  Errors are not cached: waiters on a synthesis that throws
 /// recompute and throw with their own FSM's name, and a later call
 /// recomputes.  The cache is cleared when it reaches a fixed entry cap.
-/// Within one call, next-state and output functions with identical truth
-/// tables (e.g. RE_i and CCO_i) are minimized once.
+/// Within one call, next-state and output functions that agree on every
+/// firing transition (e.g. RE_i and CCO_i) are minimized once.
 /// MinimizerImpl::Reference bypasses the cache and the in-call reuse, so
 /// the kernel benchmark's naive regime pays the full per-call cost.
 SynthesizedFsm synthesize(const fsm::Fsm& fsm,

@@ -27,9 +27,9 @@ using lowering::FnMap;
 /// The state a counterexample frame decodes to ("<code n>" off the encoding).
 std::string stateAt(const ControllerContext& ctx, const FrameEval& eval,
                     int frame) {
-  std::uint32_t code = 0;
+  std::uint64_t code = 0;
   for (std::size_t b = 0; b < ctx.stateBits.size(); ++b) {
-    if (eval(frame, ctx.stateBits[b])) code |= std::uint32_t{1} << b;
+    if (eval(frame, ctx.stateBits[b])) code |= std::uint64_t{1} << b;
   }
   const int s = ctx.enc.stateOf(code);
   if (s >= 0) return ctx.fsm->stateName(s);

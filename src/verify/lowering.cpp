@@ -455,12 +455,12 @@ FnMap rtlFunctions(ControllerContext& ctx, const vsim::Module& m) {
 
 std::string describeCounterexample(const ControllerContext& ctx,
                                    const aig::CecResult& r) {
-  std::uint32_t code = 0;
+  std::uint64_t code = 0;
   std::string inputs;
   for (const auto& [name, value] : r.counterexample) {
     if (name.starts_with("state") && name.size() > 5 &&
         name.find_first_not_of("0123456789", 5) == std::string::npos) {
-      if (value) code |= 1u << std::stoi(name.substr(5));
+      if (value) code |= std::uint64_t{1} << std::stoi(name.substr(5));
       continue;
     }
     if (!inputs.empty()) inputs += ", ";

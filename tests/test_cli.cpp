@@ -7,6 +7,8 @@
 #include "common/error.hpp"
 #include "core/cli.hpp"
 #include "core/flow.hpp"
+#include "dfg/benchmarks.hpp"
+#include "dfg/textio.hpp"
 #include "testutil.hpp"
 #include "vsim/parser.hpp"
 
@@ -131,6 +133,25 @@ TEST_F(CliRun, EndToEndReports) {
   EXPECT_NE(out.str().find("LT_DIST"), std::string::npos);
   EXPECT_NE(out.str().find("DIST-FSM"), std::string::npos);
   EXPECT_TRUE(err.str().empty());
+}
+
+// One-hot AR-lattice under one adder: the adder controller reads 16 state
+// bits + 16 inputs, past an explicit truth table's reach; its Table 1 row
+// comes from cube-domain synthesis.
+TEST_F(CliRun, WideOneHotControllerGetsItsAreaRow) {
+  CliOptions o;
+  o.inputPath = dir_ + "ar_lattice.dfg";
+  std::ofstream(o.inputPath) << dfg::printDfg(dfg::arLattice());
+  o.allocation = parseAllocationSpec("mult=4,add=1");
+  o.encoding = synth::EncodingStyle::OneHot;
+  o.table1 = true;
+  o.table2 = false;
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(runCli(o, out, err), 0) << err.str();
+  EXPECT_NE(out.str().find("D-FSM-adder1   16/22  16      16"),
+            std::string::npos)
+      << out.str();
 }
 
 TEST_F(CliRun, WritesTestbench) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <numeric>
 #include <random>
 #include <string>
@@ -303,34 +305,66 @@ TEST_P(MinimizerImplIdentity, DispatchIsImplIndependent) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MinimizerImplIdentity,
                          ::testing::Range<std::uint64_t>(1, 21));
 
-/// A "planted support" table over n variables: a random ternary function of
-/// k randomly placed variables, so the other n - k are unread.  Each row of
-/// the planted function is nonzero with a probability that keeps the
-/// table's onset + dc near 2048 rows at most, which bounds the reference
-/// QM's all-pairs merge scans at 14 variables.
-TruthTable plantedTable(int n, int k, std::uint64_t seed) {
+/// A "planted support" function over n variables: a random ternary function
+/// g of k randomly placed variables, so the other n - k are unread.  Each
+/// entry of g is nonzero with a probability that keeps the table's onset +
+/// dc near 2048 rows at most, which bounds the reference QM's all-pairs
+/// merge scans at 14 variables.
+struct Planted {
+  int n = 0;
+  std::vector<int> vars;   ///< the k read variables; vars[i] is g's bit i
+  std::vector<Ternary> g;  ///< value per assignment of `vars`
+
+  TruthTable table() const {
+    TruthTable tt(n);
+    for (std::uint64_t r = 0; r < tt.numRows(); ++r) {
+      std::size_t sub = 0;
+      for (std::size_t i = 0; i < vars.size(); ++i) {
+        sub |= static_cast<std::size_t>((r >> vars[i]) & 1) << i;
+      }
+      tt.set(r, g[sub]);
+    }
+    return tt;
+  }
+
+  /// The same function as cube lists over the k read variables: one cube
+  /// per One and per Zero entry of g.
+  CubeFunction cubes() const {
+    CubeFunction f;
+    f.numVars = n;
+    for (std::size_t sub = 0; sub < g.size(); ++sub) {
+      if (g[sub] == Ternary::DontCare) continue;
+      Cube c = Cube::full(n);
+      for (std::size_t i = 0; i < vars.size(); ++i) {
+        c.setLiteral(vars[i], (sub >> i) & 1);
+      }
+      (g[sub] == Ternary::One ? f.onset : f.offset).push_back(c);
+    }
+    return f;
+  }
+};
+
+Planted plant(int n, int k, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
-  std::vector<int> vars(static_cast<std::size_t>(n));
-  std::iota(vars.begin(), vars.end(), 0);
-  std::shuffle(vars.begin(), vars.end(), rng);
-  vars.resize(static_cast<std::size_t>(k));
+  Planted p;
+  p.n = n;
+  p.vars.resize(static_cast<std::size_t>(n));
+  std::iota(p.vars.begin(), p.vars.end(), 0);
+  std::shuffle(p.vars.begin(), p.vars.end(), rng);
+  p.vars.resize(static_cast<std::size_t>(k));
   const double nonzero = std::min(0.6, 2048.0 / std::ldexp(1.0, n));
-  std::vector<Ternary> g(std::size_t{1} << k);
-  for (Ternary& t : g) {
+  p.g.resize(std::size_t{1} << k);
+  for (Ternary& t : p.g) {
     const double roll = std::uniform_real_distribution<double>(0, 1)(rng);
     t = roll >= nonzero           ? Ternary::Zero
         : roll < nonzero * 0.6    ? Ternary::One
                                   : Ternary::DontCare;
   }
-  TruthTable tt(n);
-  for (std::uint64_t r = 0; r < tt.numRows(); ++r) {
-    std::size_t sub = 0;
-    for (int i = 0; i < k; ++i) {
-      sub |= static_cast<std::size_t>((r >> vars[static_cast<std::size_t>(i)]) & 1) << i;
-    }
-    tt.set(r, g[sub]);
-  }
-  return tt;
+  return p;
+}
+
+TruthTable plantedTable(int n, int k, std::uint64_t seed) {
+  return plant(n, k, seed).table();
 }
 
 void expectSameCubes(const Cover& fast, const Cover& ref) {
@@ -404,6 +438,116 @@ TEST(PlantedSupport, WideTableTakesTheUnchangedExpandPath) {
   setMinimizerImpl(MinimizerImpl::Fast);
   expectSameCubes(minimize(tt), ref);
   expectSameCubes(minimizeExpand(tt), ref);
+}
+
+// ---- cube engines against the table engines --------------------------------
+
+/// `tt` as cube lists: one minterm cube per onset and per offset row.
+CubeFunction mintermsOf(const TruthTable& tt) {
+  CubeFunction f;
+  f.numVars = tt.numVars();
+  for (const std::uint64_t r : tt.onset()) {
+    f.onset.push_back(Cube::minterm(tt.numVars(), r));
+  }
+  for (const std::uint64_t r : tt.offset()) {
+    f.offset.push_back(Cube::minterm(tt.numVars(), r));
+  }
+  return f;
+}
+
+constexpr std::size_t kUncapped = std::numeric_limits<std::size_t>::max();
+
+void expectSamePrimes(const std::vector<Cube>& got,
+                      const std::vector<Cube>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << "prime " << i << " diverges";
+  }
+}
+
+TEST(CubeFunction, TableRoundTrip) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const TruthTable tt = randomTable(seed);
+    const TruthTable back = toTruthTable(mintermsOf(tt));
+    for (std::uint64_t r = 0; r < tt.numRows(); ++r) {
+      EXPECT_EQ(back.get(r), tt.get(r)) << "seed " << seed << " row " << r;
+    }
+  }
+}
+
+TEST(CubeFunction, ImplementsRejectsMissingOnsetAndOffsetHits) {
+  const TruthTable tt = randomTable(7);
+  const CubeFunction f = mintermsOf(tt);
+  const Cover good = minimizeExpand(tt);
+  ASSERT_TRUE(implements(good, f));
+  ASSERT_GE(good.numCubes(), 2u);
+  Cover missing(tt.numVars());
+  for (std::size_t i = 1; i < good.numCubes(); ++i) {
+    missing.add(good.cubes()[i]);
+  }
+  EXPECT_FALSE(implements(missing, f));
+  Cover hitsOffset = good;
+  hitsOffset.add(f.offset.front());
+  EXPECT_FALSE(implements(hitsOffset, f));
+}
+
+// Nelson's primes, emitted in QM order, are primeImplicants' primes element
+// by element; the dispatched and expand covers match the table engines'.
+TEST_P(MinimizerImplIdentity, CubeEnginesMatchTableEngines) {
+  const TruthTable tt = randomTable(GetParam());
+  const CubeFunction f = mintermsOf(tt);
+  const std::optional<std::vector<Cube>> primes =
+      primesFromOffset(f, kUncapped);
+  ASSERT_TRUE(primes.has_value());
+  expectSamePrimes(*primes, primeImplicants(tt));
+  expectSameCubes(expandCubes(f), minimizeExpand(tt));
+  expectSameCubes(minimize(f), minimize(tt));
+}
+
+// The cube lists read only the k support variables, so Nelson multiplies
+// k-literal offset cubes: every support size of every width QM admits.
+TEST_P(PlantedSupport, NelsonPrimesMatchQmForEverySupportSize) {
+  const int n = GetParam();
+  for (int k = 0; k <= n; ++k) {
+    SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k));
+    const Planted p = plant(n, k, static_cast<std::uint64_t>(n * 31 + k));
+    const TruthTable tt = p.table();
+    const std::optional<std::vector<Cube>> primes =
+        primesFromOffset(p.cubes(), kUncapped);
+    ASSERT_TRUE(primes.has_value());
+    expectSamePrimes(*primes, primeImplicants(tt));
+    expectSameCubes(minimize(p.cubes()), minimize(tt));
+  }
+}
+
+// Parity has every onset minterm as a prime: 2^11 of them at 12 variables,
+// past the cap, so the cube dispatch falls back to primeImplicants on the
+// table -- still within the exact path's 4096 onset + dc rows.
+TEST(CubeEngines, NelsonPastTheCapFallsBackToQm) {
+  const int n = 12;
+  TruthTable tt(n);
+  for (std::uint64_t r = 0; r < tt.numRows(); ++r) {
+    tt.set(r, std::popcount(r) % 2 ? Ternary::One : Ternary::Zero);
+  }
+  const CubeFunction f = mintermsOf(tt);
+  EXPECT_FALSE(primesFromOffset(f).has_value());
+  const Cover cover = minimize(f);
+  EXPECT_EQ(cover.numCubes(), std::size_t{1} << (n - 1));
+  expectSameCubes(cover, minimize(tt));
+}
+
+// Past 14 variables the cube dispatch is expandCubes alone: the same cover
+// as the bit-parallel table expand, on planted tables of 15-20 variables.
+TEST(CubeEngines, CubeExpandMatchesTableExpandOnWideTables) {
+  for (int n = 15; n <= 20; ++n) {
+    for (const int k : {0, 4, 8, 11}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k));
+      const Planted p = plant(n, k, static_cast<std::uint64_t>(n * 131 + k));
+      const Cover want = minimizeExpand(p.table());
+      expectSameCubes(expandCubes(p.cubes()), want);
+      expectSameCubes(minimize(p.cubes()), want);
+    }
+  }
 }
 
 }  // namespace

@@ -1,18 +1,28 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
+#include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
+#include "common/strings.hpp"
+#include "core/hier_flow.hpp"
 #include "dfg/benchmarks.hpp"
 #include "fsm/cent_sync.hpp"
 #include "fsm/distributed.hpp"
+#include "fsm/kiss.hpp"
 #include "fsm/product.hpp"
 #include "fsm/signal.hpp"
+#include "fsm/signal_opt.hpp"
 #include "logic/minimize.hpp"
+#include "logic/truth_table.hpp"
+#include "sched/clique.hpp"
 #include "synth/area.hpp"
 #include "synth/encoding.hpp"
 #include "synth/extract.hpp"
@@ -182,9 +192,9 @@ TEST(Extract, DistributedControllersSynthesize) {
   }
 }
 
-// The Fast regime compiles guards to bitmask terms for the truth-table row
-// sweep (and runs the fast minimizer); the Reference regime steps the FSM
-// row by row.  Both must extract identical covers on every Table 2
+// The Fast regime reads cube lists off the transitions and runs the cube
+// engines; the Reference regime steps the FSM row by row into truth tables.
+// Both must extract identical covers on every Table 2
 // controller -- including the 11-variable 3rd-IIR and AR-lattice ones --
 // under both encodings.
 TEST(Extract, FastAndReferenceRegimesExtractIdenticalLogic) {
@@ -333,19 +343,22 @@ TEST(SynthesisCache, ConcurrentCallersGetIdenticalCovers) {
   }
 }
 
+/// One state looping on itself over `inputs` unread inputs: 1 state bit
+/// plus `inputs` variables.
+fsm::Fsm selfLoop(const std::string& name, int inputs) {
+  fsm::Fsm f(name);
+  const int s0 = f.addState("S0");
+  for (int i = 0; i < inputs; ++i) f.addInput(numbered("i", i));
+  f.addTransition(s0, s0, fsm::Guard::always(), {});
+  f.setInitial(s0);
+  return f;
+}
+
 // A synthesis that throws is not cached: concurrent callers all throw, each
 // naming its own machine, and a later call throws again.
 TEST(SynthesisCache, ErrorsReachEveryCallerAndAreNotCached) {
-  const auto oversized = [](const std::string& name) {
-    fsm::Fsm f(name);
-    const int s0 = f.addState("S0");
-    for (int i = 0; i < 23; ++i) f.addInput("i" + std::to_string(i));
-    f.addTransition(s0, s0, fsm::Guard::always(), {});
-    f.setInitial(s0);
-    return f;
-  };
-  const std::vector<fsm::Fsm> machines = {oversized("wideA"),
-                                          oversized("wideB")};
+  const std::vector<fsm::Fsm> machines = {selfLoop("wideA", 65),
+                                          selfLoop("wideB", 65)};
   std::vector<std::string> messages(8);
   common::ThreadPool pool(8);
   pool.forEach(messages.size(), [&](std::size_t i) {
@@ -462,13 +475,216 @@ TEST(Area, Table1Shape) {
 }
 
 TEST(Extract, OversizedFsmRejected) {
-  // 40 inputs would blow the explicit truth-table bound.
-  fsm::Fsm f("wide");
-  int s0 = f.addState("S0");
-  for (int i = 0; i < 23; ++i) f.addInput("i" + std::to_string(i));
-  f.addTransition(s0, s0, fsm::Guard::always(), {});
-  f.setInitial(s0);
+  // 65 inputs pass a cube's 64 variables.
+  EXPECT_THROW(synthesize(selfLoop("wide", 65)), Error);
+}
+
+// 23 inputs pass the Reference regime's 2^22-row tables but not the Fast
+// regime's cubes.
+TEST(Extract, WideFsmSynthesizesOnlyInFastMode) {
+  const fsm::Fsm f = selfLoop("wide23", 23);
+  const SynthesizedFsm s = synthesize(f);
+  EXPECT_EQ(s.flipFlops, f.flipFlopCount());
+  ASSERT_EQ(s.nextStateLogic.size(), static_cast<std::size_t>(s.flipFlops));
+  for (const logic::Cover& c : s.nextStateLogic) {
+    EXPECT_EQ(c.numVars(), s.flipFlops + 23);
+  }
+  logic::setMinimizerImpl(logic::MinimizerImpl::Reference);
   EXPECT_THROW(synthesize(f), Error);
+  logic::setMinimizerImpl(logic::MinimizerImpl::Fast);
+}
+
+// ---- cube-domain extraction against the table path -------------------------
+
+/// The table path: one sweep over every row of the state bits and inputs
+/// records the transition that fires there (none on a don't-care row), each
+/// function's table is filled from it, and the table engines minimize it
+/// (logic::minimize under MinimizerImpl::Fast).  Functions that agree on
+/// every transition share one table.  This is the cube-domain extraction's
+/// oracle, at most 24 variables.
+SynthesizedFsm tablePathSynthesis(const fsm::Fsm& f, EncodingStyle style) {
+  const Encoding enc = encodeStates(f, style);
+  const int numVars = enc.bits + static_cast<int>(f.inputs().size());
+  const std::vector<bool> reachable = reachableStates(f);
+  std::unordered_map<std::string, int> inputIndex;
+  for (std::size_t i = 0; i < f.inputs().size(); ++i) {
+    inputIndex.emplace(f.inputs()[i], static_cast<int>(i));
+  }
+  std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> terms;
+  std::vector<std::vector<int>> leaving(f.numStates());
+  for (const fsm::Transition& t : f.transitions()) {
+    terms.emplace_back();
+    for (const fsm::GuardTerm& term : t.guard.terms()) {
+      std::uint64_t care = 0;
+      std::uint64_t value = 0;
+      for (const auto& [sig, positive] : term.literals) {
+        const std::uint64_t bit = std::uint64_t{1} << inputIndex.at(sig);
+        care |= bit;
+        if (positive) value |= bit;
+      }
+      terms.back().emplace_back(care, value);
+    }
+    leaving[static_cast<std::size_t>(t.from)].push_back(
+        static_cast<int>(terms.size() - 1));
+  }
+  const std::uint64_t rows = std::uint64_t{1} << numVars;
+  std::vector<int> firedAt(rows, -1);
+  for (std::uint64_t row = 0; row < rows; ++row) {
+    const int state = enc.stateOf(row & ((std::uint64_t{1} << enc.bits) - 1));
+    if (state < 0 || !reachable[static_cast<std::size_t>(state)]) continue;
+    const std::uint64_t in = row >> enc.bits;
+    for (const int t : leaving[static_cast<std::size_t>(state)]) {
+      for (const auto& [care, value] : terms[static_cast<std::size_t>(t)]) {
+        if ((in & care) == value) firedAt[row] = t;
+      }
+    }
+  }
+  // Function fn's value on each transition.
+  const auto valueOn = [&](int fn, int t) {
+    const fsm::Transition& tr = f.transitions()[static_cast<std::size_t>(t)];
+    if (fn < enc.bits) return enc.codeBit(tr.to, fn);
+    const std::string& out =
+        f.outputs()[static_cast<std::size_t>(fn - enc.bits)];
+    return std::find(tr.outputs.begin(), tr.outputs.end(), out) !=
+           tr.outputs.end();
+  };
+  std::map<std::vector<bool>, logic::Cover> minimized;
+  const auto cover = [&](int fn) {
+    std::vector<bool> sig;
+    for (std::size_t t = 0; t < f.transitions().size(); ++t) {
+      sig.push_back(valueOn(fn, static_cast<int>(t)));
+    }
+    const auto it = minimized.find(sig);
+    if (it != minimized.end()) return it->second;
+    logic::TruthTable tt(numVars);
+    for (std::uint64_t row = 0; row < rows; ++row) {
+      const int t = firedAt[row];
+      tt.set(row, t < 0 ? logic::Ternary::DontCare
+                  : sig[static_cast<std::size_t>(t)] ? logic::Ternary::One
+                                                     : logic::Ternary::Zero);
+    }
+    return minimized.emplace(sig, logic::minimize(tt)).first->second;
+  };
+  SynthesizedFsm out;
+  out.numInputs = static_cast<int>(f.inputs().size());
+  out.numOutputs = static_cast<int>(f.outputs().size());
+  out.numStates = static_cast<int>(f.numStates());
+  out.flipFlops = enc.bits;
+  for (int b = 0; b < enc.bits; ++b) out.nextStateLogic.push_back(cover(b));
+  for (std::size_t o = 0; o < f.outputs().size(); ++o) {
+    out.outputLogic.push_back(cover(enc.bits + static_cast<int>(o)));
+  }
+  return out;
+}
+
+/// synthesize() against the table path for every controller of `dcu` in
+/// both encodings, up to 24 variables.  A machine met again (same KISS2
+/// text and encoding) is compared once.  Returns the number compared.
+int expectCubeExtractionMatchesTables(const fsm::DistributedControlUnit& dcu,
+                                      const std::string& label) {
+  static std::set<std::pair<std::string, EncodingStyle>> seen;
+  int compared = 0;
+  for (const fsm::UnitController& c : dcu.controllers) {
+    for (const EncodingStyle style :
+         {EncodingStyle::Binary, EncodingStyle::OneHot}) {
+      const int vars = encodeStates(c.fsm, style).bits +
+                       static_cast<int>(c.fsm.inputs().size());
+      if (vars > 24 || !seen.emplace(fsm::toKiss2(c.fsm), style).second) {
+        continue;
+      }
+      expectSameLogic(synthesize(c.fsm, style),
+                      tablePathSynthesis(c.fsm, style),
+                      label + " " + c.fsm.name() +
+                          (style == EncodingStyle::OneHot ? " onehot"
+                                                          : " binary"));
+      ++compared;
+    }
+  }
+  return compared;
+}
+
+TEST(CubeExtraction, MatchesTablePathOnTable2Suite) {
+  int compared = 0;
+  for (const dfg::NamedBenchmark& b : dfg::paperTable2Suite()) {
+    for (const sched::BindingStrategy strategy :
+         {sched::BindingStrategy::LeftEdge,
+          sched::BindingStrategy::CliqueCover}) {
+      const fsm::DistributedControlUnit raw =
+          fsm::buildDistributed(sched::scheduleAndBind(
+              b.graph, b.allocation, tau::paperLibrary(), strategy));
+      const std::string label =
+          b.name + " strategy " + std::to_string(static_cast<int>(strategy));
+      compared += expectCubeExtractionMatchesTables(raw, label + " raw");
+      compared +=
+          expectCubeExtractionMatchesTables(fsm::optimizeSignals(raw), label);
+    }
+  }
+  EXPECT_GT(compared, 0);
+}
+
+TEST(CubeExtraction, MatchesTablePathOnFirIirLoopLeaves) {
+  core::FlowConfig cfg;
+  cfg.allocation = dfg::firIirLoopAllocation();
+  cfg.synthesizeArea = false;
+  const core::HierFlowResult r = core::runHierFlow(dfg::firIirLoop(), cfg);
+  int compared = 0;
+  for (const fsm::LeafControl& leaf : r.control.leaves) {
+    compared += expectCubeExtractionMatchesTables(leaf.dcu, leaf.path);
+  }
+  EXPECT_GT(compared, 0);
+}
+
+/// explore()'s allocation grid over `g` (1..4 units per class, capped at
+/// the class's minimum chain cover), signal-optimized as the flow builds
+/// it: every controller against the table path.  Returns the widest
+/// controller's state bits + inputs (binary).
+int expectCubeExtractionMatchesTablesOnGrid(const std::string& name,
+                                            const dfg::Dfg& g) {
+  std::vector<std::pair<ResourceClass, int>> classes;
+  for (const ResourceClass cls :
+       {ResourceClass::Multiplier, ResourceClass::Adder,
+        ResourceClass::Subtractor, ResourceClass::Divider,
+        ResourceClass::Logic}) {
+    if (g.opsOfClass(cls).empty()) continue;
+    const int chains = static_cast<int>(sched::minChainCover(g, cls).size());
+    classes.emplace_back(cls, std::min(4, chains));
+  }
+  int widest = 0;
+  std::vector<int> counts(classes.size(), 1);
+  for (bool more = true; more;) {
+    Allocation alloc;
+    std::string label = name;
+    for (std::size_t i = 0; i < classes.size(); ++i) {
+      alloc[classes[i].first] = counts[i];
+      label += ' ';
+      label += std::to_string(counts[i]);
+    }
+    const fsm::DistributedControlUnit dcu = fsm::optimizeSignals(
+        fsm::buildDistributed(
+            sched::scheduleAndBind(g, alloc, tau::paperLibrary())));
+    for (const fsm::UnitController& c : dcu.controllers) {
+      widest = std::max(widest, c.fsm.flipFlopCount() +
+                                    static_cast<int>(c.fsm.inputs().size()));
+    }
+    expectCubeExtractionMatchesTables(dcu, label);
+    std::size_t pos = 0;
+    while (pos < counts.size() && ++counts[pos] > classes[pos].second) {
+      counts[pos++] = 1;
+    }
+    more = pos < counts.size();
+  }
+  return widest;
+}
+
+TEST(CubeExtraction, MatchesTablePathOnDiffeqExploreGrid) {
+  expectCubeExtractionMatchesTablesOnGrid("Diff.", dfg::diffeq());
+}
+
+// AR-lattice with one adder gives the 20-variable binary controller.
+TEST(CubeExtraction, MatchesTablePathOnArLatticeExploreGrid) {
+  EXPECT_GE(expectCubeExtractionMatchesTablesOnGrid("AR-lattice",
+                                                    dfg::arLattice()),
+            20);
 }
 
 }  // namespace

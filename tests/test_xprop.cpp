@@ -405,6 +405,48 @@ TEST(DcsMutation, DontCareAbusingMinimizerTripsDcs) {
   EXPECT_NE(msg.find("cycle 0: state="), std::string::npos) << msg;
 }
 
+// AR-lattice under one multiplier gives a 44-state controller: one-hot, its
+// states 32..43 live past bit 31 of the state code.  A cover that also sets
+// next-state bit `target` in state 40 (which never moves there) differs from
+// the specification on state 40's rows alone, and the DCS001
+// counterexample must decode to that state.
+TEST(DcsMutation, CounterexamplePastBit31NamesTheRightState) {
+  const fsm::DistributedControlUnit dcu = fsm::optimizeSignals(
+      fsm::buildDistributed(sched::scheduleAndBind(
+          dfg::arLattice(),
+          Allocation{{ResourceClass::Multiplier, 1}, {ResourceClass::Adder, 1}},
+          tau::paperLibrary())));
+  const fsm::Fsm* victim = &dcu.controllers.front().fsm;
+  for (const fsm::UnitController& c : dcu.controllers) {
+    if (c.fsm.numStates() > victim->numStates()) victim = &c.fsm;
+  }
+  ASSERT_GT(victim->numStates(), 40u) << victim->name();
+  const int state = 40;
+  std::set<int> successors;
+  for (const fsm::Transition* t : victim->transitionsFrom(state)) {
+    successors.insert(t->to);
+  }
+  int target = 0;
+  while (successors.contains(target)) ++target;
+
+  synth::SynthesizedFsm syn =
+      synth::synthesize(*victim, synth::EncodingStyle::OneHot);
+  logic::Cube inState = logic::Cube::full(syn.nextStateLogic[0].numVars());
+  inState.setLiteral(state, true);
+  syn.nextStateLogic[static_cast<std::size_t>(target)].add(inState);
+  DcsOptions dco;
+  dco.style = synth::EncodingStyle::OneHot;
+  dco.coverOverrides.emplace(victim->name(), syn);
+  Report report;
+  checkDcsFsm(*victim, "ar-lattice mult1", report, dco);
+  ASSERT_TRUE(report.has("DCS001")) << renderText(report);
+  const Diagnostic& d = report.withCode("DCS001").front();
+  EXPECT_EQ(d.where, "ns" + std::to_string(target));
+  EXPECT_NE(d.message.find("state=" + victim->stateName(state) + ","),
+            std::string::npos)
+      << d.message;
+}
+
 TEST(DcsBudget, ExhaustedBudgetAtPositiveDepthClosesUnknown) {
   // With no conflicts to spend, depth 0 refutes structurally (the initial
   // state is a care row) and the k = 1 induction step, the first query that
