@@ -8,7 +8,7 @@
 //                 merge scans and per-offset-row expand trials) + Naive
 //                 proof engine (fresh SAT solver + Tseitin encoding per
 //                 miter) -- against the optimized regime: fast minimizer
-//                 (sort+hash QM, 64-rows/word bit-parallel expand) +
+//                 (cube-domain extraction, sort+hash QM, cube expand) +
 //                 Incremental engine (simulation prefilter + shared
 //                 incremental solver).  Two-level minimization dominates
 //                 this suite's wall clock; the fast minimizer makes the
@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
   }
   const double naiveEquivMs = bench::wallMs(tNaive);
 
-  // Optimized regime: bit-parallel expand + incremental engine.
+  // Optimized regime: cube-domain minimizer + incremental engine.
   logic::setMinimizerImpl(logic::MinimizerImpl::Fast);
   verify::EquivStats optStats;
   std::vector<verify::Report> optReports;

@@ -7,12 +7,6 @@
 
 namespace tauhls::logic {
 
-namespace {
-std::uint64_t varsMask(int numVars) {
-  return numVars == 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << numVars) - 1);
-}
-}  // namespace
-
 Cube::Cube(int numVars, std::uint64_t care, std::uint64_t value)
     : numVars_(numVars), care_(care), value_(value & care) {}
 

@@ -12,6 +12,12 @@
 
 namespace tauhls::logic {
 
+/// The mask of variables 0..numVars-1 (numVars <= 64).
+inline std::uint64_t varsMask(int numVars) {
+  return numVars == 64 ? ~std::uint64_t{0}
+                       : (std::uint64_t{1} << numVars) - 1;
+}
+
 class Cube {
  public:
   /// The tautology cube over `numVars` variables (no literals).

@@ -15,12 +15,6 @@ namespace tauhls::logic {
 
 namespace {
 
-/// The mask of variables 0..numVars-1.
-std::uint64_t varsMask(int numVars) {
-  return numVars == 64 ? ~std::uint64_t{0}
-                       : (std::uint64_t{1} << numVars) - 1;
-}
-
 struct CubeKey {
   std::uint64_t care;
   std::uint64_t value;
@@ -182,7 +176,7 @@ std::uint64_t supportMask(const TruthTable& tt) {
 std::vector<Cube> primeImplicants(const TruthTable& tt) {
   TAUHLS_CHECK(tt.numVars() <= 14, "primeImplicants limited to 14 variables");
   const int vars = tt.numVars();
-  const std::uint64_t all = (std::uint64_t{1} << vars) - 1;
+  const std::uint64_t all = varsMask(vars);
   const std::uint64_t support = supportMask(tt);
   if (support == all) return qmPrimes(tt);
 
@@ -338,97 +332,6 @@ Cover minimizeExact(const TruthTable& tt) {
                                  : primeImplicants(tt));
 }
 
-namespace {
-
-// --- bit-parallel expand -----------------------------------------------------
-//
-// Row sets are bitsets over the 2^numVars truth-table rows, 64 rows per word.
-// Flipping variable v in every row index is a word-level butterfly (bit
-// strides below 64) or a word swap at distance 2^(v-6), so "the rows of this
-// cube with literal v dropped" and "does that set touch the offset" are both
-// O(rows/64) word operations instead of per-row Cube::covers calls.
-
-/// kStrideMask[v]: bits whose row index has bit v clear, for v < 6.
-constexpr std::uint64_t kStrideMask[6] = {
-    0x5555555555555555ull, 0x3333333333333333ull, 0x0F0F0F0F0F0F0F0Full,
-    0x00FF00FF00FF00FFull, 0x0000FFFF0000FFFFull, 0x00000000FFFFFFFFull};
-
-/// dst = src with row-index bit v flipped in every element.
-void flipVar(const std::vector<std::uint64_t>& src, int v,
-             std::vector<std::uint64_t>& dst) {
-  const std::size_t n = src.size();
-  if (v < 6) {
-    const int s = 1 << v;
-    const std::uint64_t m = kStrideMask[v];
-    for (std::size_t i = 0; i < n; ++i) {
-      dst[i] = ((src[i] & m) << s) | ((src[i] >> s) & m);
-    }
-  } else {
-    const std::size_t d = std::size_t{1} << (v - 6);
-    for (std::size_t i = 0; i < n; ++i) dst[i] = src[i ^ d];
-  }
-}
-
-bool anyIntersect(const std::vector<std::uint64_t>& a,
-                  const std::vector<std::uint64_t>& b) {
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] & b[i]) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-Cover minimizeExpand(const TruthTable& tt) {
-  const int vars = tt.numVars();
-  const std::uint64_t rows = tt.numRows();
-  const std::size_t words = static_cast<std::size_t>((rows + 63) / 64);
-
-  std::vector<std::uint64_t> offsetMask(words, 0);
-  for (std::uint64_t r = 0; r < rows; ++r) {
-    if (tt.get(r) == Ternary::Zero) {
-      offsetMask[r >> 6] |= std::uint64_t{1} << (r & 63);
-    }
-  }
-
-  // flippedOffset[v]: rows whose v-flipped partner is in the offset.  A cube
-  // currently off the offset gains an offset row by dropping literal v
-  // exactly when its minterm set intersects this -- the same boolean the
-  // reference implementation computes by scanning the offset per trial, so
-  // the expansion decisions (and the resulting cover) are identical.
-  std::vector<std::vector<std::uint64_t>> flippedOffset(
-      static_cast<std::size_t>(vars), std::vector<std::uint64_t>(words));
-  for (int v = 0; v < vars; ++v) flipVar(offsetMask, v, flippedOffset[v]);
-
-  Cover result(vars);
-  std::vector<std::uint64_t> covered(words, 0);
-  std::vector<std::uint64_t> cur(words);
-  std::vector<std::uint64_t> flipped(words);
-  // Onset rows in ascending order, as the reference visits them.  The table
-  // is read again rather than copied into a row list, which for a wide
-  // function would hold millions of rows on top of the table itself.
-  for (std::uint64_t row = 0; row < rows; ++row) {
-    if (tt.get(row) != Ternary::One) continue;
-    if ((covered[row >> 6] >> (row & 63)) & 1) continue;
-    Cube cube = Cube::minterm(vars, row);
-    std::fill(cur.begin(), cur.end(), 0);
-    cur[row >> 6] = std::uint64_t{1} << (row & 63);
-    // Expand: drop literals one by one while staying off the offset.
-    for (int v = 0; v < vars; ++v) {
-      if (anyIntersect(cur, flippedOffset[v])) continue;
-      cube.dropLiteral(v);
-      flipVar(cur, v, flipped);
-      for (std::size_t i = 0; i < words; ++i) cur[i] |= flipped[i];
-    }
-    result.add(cube);
-    for (std::size_t i = 0; i < words; ++i) covered[i] |= cur[i];
-  }
-  result.removeContained();
-  TAUHLS_ASSERT(implements(result, tt),
-                "expand produced a non-implementing cover");
-  return result;
-}
-
 Cover minimizeExpandReference(const TruthTable& tt) {
   const std::vector<std::uint64_t> offset = tt.offset();
   const std::vector<std::uint64_t> onset = tt.onset();
@@ -487,9 +390,7 @@ bool takesExactPath(const TruthTable& tt) {
 
 Cover minimize(const TruthTable& tt) {
   if (takesExactPath(tt)) return minimizeExact(tt);
-  return gMinimizerImpl == MinimizerImpl::Reference
-             ? minimizeExpandReference(tt)
-             : minimizeExpand(tt);
+  return minimizeExpandReference(tt);
 }
 
 bool implements(const Cover& cover, const TruthTable& spec) {
@@ -518,6 +419,11 @@ struct Term {
 bool meets(const Term& a, const Term& b) {
   return ((a.value ^ b.value) & a.care & b.care) == 0;
 }
+
+/// primesFromOffset gives up past this many cubes in one intermediate
+/// product: unstructured minterm offsets grow to thousands of cubes, where
+/// the table's QM is cheaper.
+constexpr std::size_t kNelsonCubeCap = 1024;
 
 bool containsTerm(const Term& big, const Term& small) {
   return (big.care & ~small.care) == 0 &&
@@ -578,8 +484,7 @@ TruthTable toTruthTable(const CubeFunction& f) {
   return tt;
 }
 
-std::optional<std::vector<Cube>> primesFromOffset(const CubeFunction& f,
-                                                  std::size_t cap) {
+std::optional<std::vector<Cube>> primesFromOffset(const CubeFunction& f) {
   // The frontier is the product of the complements of the offset cubes read
   // so far, free of absorbed cubes; it starts as the constant 1.
   std::vector<Term> frontier = {{0, 0}};
@@ -611,14 +516,14 @@ std::optional<std::vector<Cube>> primesFromOffset(const CubeFunction& f,
                      [](const Term& a, const Term& b) {
                        return std::popcount(a.care) < std::popcount(b.care);
                      });
-    if (next.size() > cap) return std::nullopt;
+    if (next.size() > kNelsonCubeCap) return std::nullopt;
     for (const Term& q : fresh) {
       const bool absorbed =
           std::any_of(next.begin(), next.end(),
                       [&q](const Term& k) { return containsTerm(k, q); });
       if (absorbed) continue;
       next.push_back(q);
-      if (next.size() > cap) return std::nullopt;
+      if (next.size() > kNelsonCubeCap) return std::nullopt;
     }
     frontier.swap(next);
   }

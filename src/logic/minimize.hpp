@@ -7,14 +7,14 @@
 //  * minimizeExact: Quine-McCluskey prime generation + essential extraction +
 //    greedy cover of the remainder.  Exact primes; near-minimal covers.
 //    Practical up to ~14 variables.
-//  * minimizeExpand: ESPRESSO-style single-cube expansion against the offset;
-//    heuristic but fast, handles larger variable counts.
+//  * minimizeExpandReference: ESPRESSO-style single-cube expansion against
+//    the offset, one scan of the offset rows per trial literal drop.
 //
 // Cube engines (synth::synthesize's Fast regime; no row sweep):
 //  * primesFromOffset: the exact primes by Nelson's method, multiplying out
 //    the complement of the offset, in QM's emission order.
-//  * expandCubes: minimizeExpand's decisions on cube lists, at any width up
-//    to 64 variables.
+//  * expandCubes: minimizeExpandReference's decisions on cube lists, at any
+//    width up to 64 variables.
 //
 // minimize() dispatches on variable count.  All results are verified
 // implementable against the spec by `implements`.
@@ -48,32 +48,26 @@ std::vector<Cube> primeImplicantsReference(const TruthTable& tt);
 /// Exact-prime minimization (QM); requires numVars <= 14.
 Cover minimizeExact(const TruthTable& tt);
 
-/// Heuristic expand-based minimization; any supported variable count.
-/// Bit-parallel: row sets are 64-rows-per-word bitsets, so each trial
-/// literal drop is tested against the offset in O(rows/64) word operations.
-/// Produces the same cover as minimizeExpandReference (same expansion
-/// decisions in the same order).
-Cover minimizeExpand(const TruthTable& tt);
-
-/// The scalar reference expand (one Cube::covers call per offset row per
-/// trial).  Kept callable for cross-checking and for the kernel benchmark's
-/// naive regime; bit-identical covers to minimizeExpand.
+/// Heuristic expand-based minimization of a table: onset rows in ascending
+/// order seed cubes, and literal v (v = 0, 1, ...) is dropped when the
+/// widened cube covers no offset row (one Cube::covers call per offset row
+/// per trial).  The Reference regime's expand and the cube engines' oracle.
 Cover minimizeExpandReference(const TruthTable& tt);
 
-/// Which implementations minimize()/minimizeExact() dispatch to: Fast (the
-/// bit-parallel expand and sort+hash QM above) or Reference (the original
-/// scalar scans).  synth::synthesize keys its extraction and its synthesis
-/// cache off the same hook (cube lists, the cube engines and cached,
-/// deduplicated functions vs one table row per Fsm::step, uncached).
-/// Results are identical either way; a bench/test hook
-/// (bench/kernel_speed.cpp times the equivalence suite under both regimes).
+/// Which implementations minimizeExact() and synth::synthesize use: Fast
+/// (sort+hash QM; cube lists, the cube engines and cached, deduplicated
+/// functions in synthesis) or Reference (map-and-scan QM; one table row per
+/// Fsm::step, uncached).  Results are identical either way; a bench/test
+/// hook (bench/kernel_speed.cpp times the equivalence suite under both
+/// regimes).
 enum class MinimizerImpl { Fast, Reference };
 void setMinimizerImpl(MinimizerImpl impl);
 MinimizerImpl minimizerImpl();
 
-/// Dispatch: exact up to 14 variables (and at most 4096 onset + dc rows),
-/// expand beyond.  A pure function of the table: reuse across calls lives a
-/// level up, in synth::synthesize's per-controller cache.
+/// The table dispatch: minimizeExact up to 14 variables (and at most 4096
+/// onset + dc rows), minimizeExpandReference beyond.  A pure function of
+/// the table: reuse across calls lives a level up, in synth::synthesize's
+/// per-controller cache.
 Cover minimize(const TruthTable& tt);
 
 /// True when `cover` is 1 on every onset row and 0 on every offset row of
@@ -94,32 +88,27 @@ struct CubeFunction {
 /// The explicit table of `f` (at most 24 variables).
 TruthTable toTruthTable(const CubeFunction& f);
 
-/// primesFromOffset gives up past this many cubes in one intermediate
-/// product (the callers then run primeImplicants on the table).
-inline constexpr std::size_t kNelsonCubeCap = 1024;
-
 /// The prime implicants of onset + dc, by Nelson's method: the product of
 /// the complements of the offset cubes, multiplied out with absorption, is
 /// exactly the set of primes.  Emitted in primeImplicants' order: minterm
 /// primes first by ascending value, then by its sort key.  nullopt when an
-/// intermediate product passes `cap` cubes; tests lift the cap to check the
-/// method on functions whose products grow past it.
-std::optional<std::vector<Cube>> primesFromOffset(
-    const CubeFunction& f, std::size_t cap = kNelsonCubeCap);
+/// intermediate product passes 1024 cubes (minimize then runs
+/// primeImplicants on the table).
+std::optional<std::vector<Cube>> primesFromOffset(const CubeFunction& f);
 
-/// minimizeExpand on cube lists, with the same decisions in the same order:
-/// the uncovered onset is a list of disjoint cubes, sharped by each new
-/// cover cube; the next seed is its smallest minterm; literal v (v = 0, 1,
-/// ...) is dropped when the widened cube meets no offset cube.  Equal to
-/// minimizeExpand(toTruthTable(f)) cube for cube.
+/// minimizeExpandReference on cube lists, with the same decisions in the
+/// same order: the uncovered onset is a list of disjoint cubes, sharped by
+/// each new cover cube; the next seed is its smallest minterm; literal v
+/// (v = 0, 1, ...) is dropped when the widened cube meets no offset cube.
+/// Equal to minimizeExpandReference(toTruthTable(f)) cube for cube.
 Cover expandCubes(const CubeFunction& f);
 
 /// True when no cube of `cover` meets an offset cube and `cover` covers
 /// every onset cube.
 bool implements(const Cover& cover, const CubeFunction& f);
 
-/// The cube-domain dispatch, equal to minimize(toTruthTable(f)) under
-/// MinimizerImpl::Fast at every width that table admits.  Up to 14
+/// The cube-domain dispatch, equal to minimize(toTruthTable(f)) at every
+/// width that table admits.  Up to 14
 /// variables it builds the table (at most 16K rows) and, when onset + dc is
 /// at most 4096 rows, covers the table from primesFromOffset's primes
 /// (primeImplicants past the cap); otherwise it runs expandCubes, with no

@@ -499,7 +499,7 @@ TEST(Extract, WideFsmSynthesizesOnlyInFastMode) {
 /// The table path: one sweep over every row of the state bits and inputs
 /// records the transition that fires there (none on a don't-care row), each
 /// function's table is filled from it, and the table engines minimize it
-/// (logic::minimize under MinimizerImpl::Fast).  Functions that agree on
+/// (logic::minimize: QM or the reference expand).  Functions that agree on
 /// every transition share one table.  This is the cube-domain extraction's
 /// oracle, at most 24 variables.
 SynthesizedFsm tablePathSynthesis(const fsm::Fsm& f, EncodingStyle style) {
@@ -577,12 +577,15 @@ SynthesizedFsm tablePathSynthesis(const fsm::Fsm& f, EncodingStyle style) {
   return out;
 }
 
+/// The machines one test has compared: KISS2 text and encoding.
+using SeenMachines = std::set<std::pair<std::string, EncodingStyle>>;
+
 /// synthesize() against the table path for every controller of `dcu` in
-/// both encodings, up to 24 variables.  A machine met again (same KISS2
-/// text and encoding) is compared once.  Returns the number compared.
+/// both encodings, up to 24 variables.  A machine already in `seen` is
+/// skipped.  Returns the number compared.
 int expectCubeExtractionMatchesTables(const fsm::DistributedControlUnit& dcu,
-                                      const std::string& label) {
-  static std::set<std::pair<std::string, EncodingStyle>> seen;
+                                      const std::string& label,
+                                      SeenMachines& seen) {
   int compared = 0;
   for (const fsm::UnitController& c : dcu.controllers) {
     for (const EncodingStyle style :
@@ -604,6 +607,7 @@ int expectCubeExtractionMatchesTables(const fsm::DistributedControlUnit& dcu,
 }
 
 TEST(CubeExtraction, MatchesTablePathOnTable2Suite) {
+  SeenMachines seen;
   int compared = 0;
   for (const dfg::NamedBenchmark& b : dfg::paperTable2Suite()) {
     for (const sched::BindingStrategy strategy :
@@ -614,9 +618,10 @@ TEST(CubeExtraction, MatchesTablePathOnTable2Suite) {
               b.graph, b.allocation, tau::paperLibrary(), strategy));
       const std::string label =
           b.name + " strategy " + std::to_string(static_cast<int>(strategy));
-      compared += expectCubeExtractionMatchesTables(raw, label + " raw");
       compared +=
-          expectCubeExtractionMatchesTables(fsm::optimizeSignals(raw), label);
+          expectCubeExtractionMatchesTables(raw, label + " raw", seen);
+      compared += expectCubeExtractionMatchesTables(fsm::optimizeSignals(raw),
+                                                    label, seen);
     }
   }
   EXPECT_GT(compared, 0);
@@ -627,9 +632,10 @@ TEST(CubeExtraction, MatchesTablePathOnFirIirLoopLeaves) {
   cfg.allocation = dfg::firIirLoopAllocation();
   cfg.synthesizeArea = false;
   const core::HierFlowResult r = core::runHierFlow(dfg::firIirLoop(), cfg);
+  SeenMachines seen;
   int compared = 0;
   for (const fsm::LeafControl& leaf : r.control.leaves) {
-    compared += expectCubeExtractionMatchesTables(leaf.dcu, leaf.path);
+    compared += expectCubeExtractionMatchesTables(leaf.dcu, leaf.path, seen);
   }
   EXPECT_GT(compared, 0);
 }
@@ -649,6 +655,7 @@ int expectCubeExtractionMatchesTablesOnGrid(const std::string& name,
     const int chains = static_cast<int>(sched::minChainCover(g, cls).size());
     classes.emplace_back(cls, std::min(4, chains));
   }
+  SeenMachines seen;
   int widest = 0;
   std::vector<int> counts(classes.size(), 1);
   for (bool more = true; more;) {
@@ -666,7 +673,7 @@ int expectCubeExtractionMatchesTablesOnGrid(const std::string& name,
       widest = std::max(widest, c.fsm.flipFlopCount() +
                                     static_cast<int>(c.fsm.inputs().size()));
     }
-    expectCubeExtractionMatchesTables(dcu, label);
+    expectCubeExtractionMatchesTables(dcu, label, seen);
     std::size_t pos = 0;
     while (pos < counts.size() && ++counts[pos] > classes[pos].second) {
       counts[pos++] = 1;
