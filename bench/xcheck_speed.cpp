@@ -4,8 +4,8 @@
 //
 //   xprop   bit-parallel ternary evaluation of the controller-network model
 //           from every power-on state through the reset protocol, plus the
-//           ternary vsim replay of the emitted RTL (verify::checkXprop,
-//           XPR001/XPR002).
+//           ternary replay of the emitted RTL lowered to an AIG
+//           (verify::checkXprop, XPR001/XPR002).
 //   dcs     per-controller care-set equivalence and BMC + k-induction
 //           don't-care reachability (verify::checkDcs, DCS001-DCS003).
 //

@@ -49,18 +49,6 @@ inline constexpr XWord xAnd(XWord a, XWord b) {
   return {a.one & b.one, x};
 }
 
-/// a | b in Kleene logic: 1 dominates X.
-inline constexpr XWord xOr(XWord a, XWord b) {
-  return xNot(xAnd(xNot(a), xNot(b)));
-}
-
-/// sel ? t : e; an X select merges the branches (agreeing determinate bits
-/// survive, disagreeing or unknown bits go X).  The consensus term t & e is
-/// what keeps agreeing branches determinate under an X select.
-inline constexpr XWord xMux(XWord sel, XWord t, XWord e) {
-  return xOr(xOr(xAnd(sel, t), xAnd(xNot(sel), e)), xAnd(t, e));
-}
-
 /// One combinational sweep of the graph per call: evaluates every node under
 /// per-input ternary words.  Node order is construction order, which the Aig
 /// guarantees topological, so a single forward pass suffices.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <set>
 #include <tuple>
 #include <utility>
 
@@ -449,6 +450,190 @@ FnMap rtlFunctions(ControllerContext& ctx, const vsim::Module& m) {
     fns.emplace_back(o, eval.nonzero(it->second));
   }
   return fns;
+}
+
+// --- a whole emitted package ------------------------------------------------
+
+namespace {
+
+/// Every signal an assignment in `stmts` writes.
+void collectTargets(const std::vector<vsim::StmtPtr>& stmts,
+                    std::set<std::string>& out) {
+  for (const vsim::StmtPtr& s : stmts) {
+    if (s->kind == vsim::StmtKind::Assign) out.insert(s->lhs);
+    collectTargets(s->thenBody, out);
+    collectTargets(s->elseBody, out);
+    for (const vsim::CaseArm& arm : s->arms) collectTargets(arm.body, out);
+  }
+}
+
+/// (local name, global slot) of each name in `names`.
+std::vector<std::pair<std::string, vsim::SignalId>> slotsOf(
+    const vsim::FlatInstance& inst, const std::set<std::string>& names) {
+  std::vector<std::pair<std::string, vsim::SignalId>> out;
+  for (const std::string& name : names) {
+    const auto it = inst.signalOf.find(name);
+    TAUHLS_CHECK(it != inst.signalOf.end(),
+                 "assignment to undeclared signal '" + name + "' in " +
+                     inst.module->name);
+    out.emplace_back(name, it->second);
+  }
+  return out;
+}
+
+/// The cones of `*roots` copied into a fresh graph that keeps every input
+/// at its index; each root is rewritten to its copy.  Copying a node whose
+/// fanins were rewrite-free keeps it rewrite-free, so the copy evaluates
+/// like the original, ternary included, without the nodes no root reads.
+Aig liveCones(const Aig& g, const std::vector<Lit*>& roots) {
+  std::vector<char> live(g.numNodes(), 0);
+  std::vector<std::uint32_t> stack;
+  for (const Lit* r : roots) stack.push_back(aig::nodeOf(*r));
+  while (!stack.empty()) {
+    const std::uint32_t node = stack.back();
+    stack.pop_back();
+    if (live[node]) continue;
+    live[node] = 1;
+    if (g.isAnd(node)) {
+      stack.push_back(aig::nodeOf(g.fanin0(node)));
+      stack.push_back(aig::nodeOf(g.fanin1(node)));
+    }
+  }
+  Aig out;
+  std::vector<Lit> copy(g.numNodes(), kLitFalse);
+  auto copyOf = [&](Lit l) {
+    const Lit c = copy[aig::nodeOf(l)];
+    return aig::isNegated(l) ? aig::negate(c) : c;
+  };
+  for (std::uint32_t node = 1; node < g.numNodes(); ++node) {
+    if (g.isInput(node)) {
+      copy[node] = out.addInput(g.inputNames()[g.inputIndexOf(node)]);
+    } else if (live[node]) {
+      copy[node] = out.andLit(copyOf(g.fanin0(node)), copyOf(g.fanin1(node)));
+    }
+  }
+  for (Lit* r : roots) *r = copyOf(*r);
+  return out;
+}
+
+}  // namespace
+
+PackageCones lowerPackage(const vsim::Elaboration& elab) {
+  PackageCones out;
+  const std::size_t n = elab.signalNames.size();
+  out.signal.resize(n);
+  auto bitName = [&](vsim::SignalId id, int b) {
+    return elab.signalWidth[id] == 1
+               ? elab.signalNames[id]
+               : elab.signalNames[id] + "[" + std::to_string(b) + "]";
+  };
+  auto addInputs = [&](vsim::SignalId id) {
+    for (int b = 0; b < elab.signalWidth[id]; ++b) {
+      out.signal[id].push_back(out.g.addInput(bitName(id, b)));
+    }
+  };
+
+  // Per instance, the signals its combinational constructs and its
+  // sequential blocks drive.
+  std::vector<std::vector<std::pair<std::string, vsim::SignalId>>> comb, seq;
+  for (const vsim::FlatInstance& inst : elab.instances) {
+    const vsim::Module& m = *inst.module;
+    TAUHLS_CHECK(m.gates.empty(), "package lowering: module " + m.name +
+                                      " uses gate primitives");
+    std::set<std::string> combNames, seqNames;
+    for (const vsim::NetDecl& d : m.nets) {
+      if (d.init) combNames.insert(d.name);
+    }
+    for (const vsim::ContinuousAssign& a : m.assigns) combNames.insert(a.lhs);
+    for (const vsim::AlwaysBlock& blk : m.always) {
+      collectTargets(blk.body, blk.sequential ? seqNames : combNames);
+    }
+    comb.push_back(slotsOf(inst, combNames));
+    seq.push_back(slotsOf(inst, seqNames));
+  }
+
+  const vsim::FlatInstance& top = elab.instances.front();
+  for (const vsim::Port& p : top.module->ports) {
+    if (p.dir == vsim::PortDir::Input) addInputs(top.signalOf.at(p.name));
+  }
+  std::vector<std::size_t> firstRegBit(n, 0);
+  for (const auto& regs : seq) {
+    for (const auto& [name, id] : regs) {
+      firstRegBit[id] = out.regs.size();
+      addInputs(id);
+      for (const Lit cur : out.signal[id]) {
+        out.regs.push_back({out.g.inputIndexOf(aig::nodeOf(cur)), kLitFalse});
+      }
+    }
+  }
+  for (vsim::SignalId id = 0; id < n; ++id) {
+    if (out.signal[id].empty()) {
+      out.signal[id].assign(static_cast<std::size_t>(elab.signalWidth[id]),
+                            kLitFalse);
+    }
+  }
+
+  std::vector<SymbolicEval> evals;
+  evals.reserve(elab.instances.size());
+  for (const vsim::FlatInstance& inst : elab.instances) {
+    evals.emplace_back(out.g, *inst.module);
+  }
+  auto envOf = [&](const vsim::FlatInstance& inst) {
+    SymbolicEval::Env env;
+    for (const auto& [name, id] : inst.signalOf) env[name] = out.signal[id];
+    return env;
+  };
+  auto bitsOf = [&](const SymbolicEval::Env& env, const std::string& name,
+                    vsim::SignalId id) {
+    std::vector<Lit> bits = env.at(name);
+    bits.resize(static_cast<std::size_t>(elab.signalWidth[id]), kLitFalse);
+    return bits;
+  };
+
+  // Pulses may cascade through several instances within one clock, so the
+  // combinational pass repeats; structural hashing makes an unchanged
+  // signal come back as the identical literals.
+  bool settled = false;
+  for (int round = 0; round <= fsm::kPulseFixpointIterations && !settled;
+       ++round) {
+    settled = true;
+    for (std::size_t i = 0; i < elab.instances.size(); ++i) {
+      SymbolicEval::Env env = envOf(elab.instances[i]);
+      evals[i].runCombinational(env);
+      for (const auto& [name, id] : comb[i]) {
+        std::vector<Lit> bits = bitsOf(env, name, id);
+        if (bits != out.signal[id]) {
+          out.signal[id] = std::move(bits);
+          settled = false;
+        }
+      }
+    }
+  }
+  TAUHLS_CHECK(settled, "combinational logic did not settle within " +
+                            std::to_string(fsm::kPulseFixpointIterations + 1) +
+                            " rounds (possible loop)");
+
+  for (std::size_t i = 0; i < elab.instances.size(); ++i) {
+    if (seq[i].empty()) continue;
+    SymbolicEval::Env env = envOf(elab.instances[i]);
+    evals[i].runSequential(env);
+    for (const auto& [name, id] : seq[i]) {
+      const std::vector<Lit> bits = bitsOf(env, name, id);
+      for (std::size_t b = 0; b < bits.size(); ++b) {
+        out.regs[firstRegBit[id] + b].next = bits[b];
+      }
+    }
+  }
+
+  // Every merge leaves a multiplexer behind for each signal it did not
+  // write, and every round but the last leaves superseded cones.
+  std::vector<Lit*> roots;
+  for (std::vector<Lit>& bits : out.signal) {
+    for (Lit& l : bits) roots.push_back(&l);
+  }
+  for (PackageCones::RegisterBit& r : out.regs) roots.push_back(&r.next);
+  out.g = liveCones(out.g, roots);
+  return out;
 }
 
 // --- counterexample decoding ------------------------------------------------

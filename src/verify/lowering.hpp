@@ -1,7 +1,9 @@
 // Shared AIG lowerings of one controller's four representations (FSM spec,
 // minimized covers, gate netlist, reparsed emitted RTL), factored out of the
 // equivalence checker so the X-propagation and don't-care-soundness passes
-// reason over the *same* cones the equivalence proofs certify.
+// reason over the *same* cones the equivalence proofs certify.  The same
+// SymbolicEval also lowers a whole emitted package (lowerPackage), which
+// the X-propagation RTL replay simulates.
 //
 // The FSM lowering itself (stateMatch, guardLit, fsmFunctions) works over a
 // caller's graph, state bits and input resolver; its network clock cycle
@@ -28,6 +30,7 @@
 #include "synth/encoding.hpp"
 #include "synth/extract.hpp"
 #include "vsim/ast.hpp"
+#include "vsim/elaborate.hpp"
 
 namespace tauhls::verify::lowering {
 
@@ -164,6 +167,31 @@ class SymbolicEval {
 
 /// Representation 4: the reparsed emitted Verilog of the controller module.
 FnMap rtlFunctions(ControllerContext& ctx, const vsim::Module& m);
+
+/// A whole elaborated package as one sequential AIG.  Inputs are the top
+/// module's input bits, then one bit per register bit (a register is any
+/// signal a sequential block assigns), each named after its hierarchical
+/// signal ("u_ctrl.state[1]" for bits of multi-bit signals).
+struct PackageCones {
+  aig::Aig g;
+  /// Per elaborated signal (vsim::SignalId), LSB first: its settled
+  /// combinational value, a register's current value, 0 when undriven.
+  std::vector<std::vector<aig::Lit>> signal;
+  struct RegisterBit {
+    std::size_t input = 0;         ///< AIG input index of the current value
+    aig::Lit next = aig::kLitFalse;  ///< value after the clock edge
+  };
+  std::vector<RegisterBit> regs;
+};
+
+/// Lower an elaborated package: SymbolicEval runs every instance's
+/// combinational constructs in elaboration order, writing back only the
+/// signals that instance drives, until a round leaves every literal
+/// unchanged; then the sequential blocks give the next-state cones, and the
+/// graph keeps only the cones the result names.  Throws when
+/// fsm::kPulseFixpointIterations + 1 rounds do not settle (a combinational
+/// loop) or a module uses gate primitives.
+PackageCones lowerPackage(const vsim::Elaboration& elab);
 
 /// Decode a CEC counterexample back to "state=<name>, in1=0, ..." text.
 std::string describeCounterexample(const ControllerContext& ctx,

@@ -19,7 +19,8 @@
 #include "synth/encoding.hpp"
 #include "verify/lowering.hpp"
 #include "verify/symbolic_check.hpp"
-#include "vsim/simulate.hpp"
+#include "vsim/elaborate.hpp"
+#include "vsim/parser.hpp"
 
 namespace tauhls::verify {
 
@@ -528,10 +529,11 @@ char pointChar(std::uint64_t v, std::uint64_t x, bool multiBit) {
   return static_cast<char>('0' + (v % 10));  // state code, mod-10 digits
 }
 
-/// Replay the emitted RTL under ternary vsim against the binary network
-/// model: the all-X proof instance plus kRtlInstances concrete power-ons.
-/// Mutually-determinate bits must agree every cycle, and after the reset
-/// window the RTL may not hold X anywhere the model is determinate.
+/// Replay the emitted RTL, lowered once to a sequential AIG, on the ternary
+/// evaluator against the binary network model: the all-X proof instance
+/// plus kRtlInstances concrete power-ons.  Mutually-determinate bits must
+/// agree every cycle, and after the reset window the RTL may not hold X
+/// anywhere the model is determinate.
 void checkRtlAgreement(const fsm::DistributedControlUnit& dcu,
                        const NetModel& m, const std::string& artifact,
                        Report& report, const XprOptions& opt, int resetDepth,
@@ -571,12 +573,30 @@ void checkRtlAgreement(const fsm::DistributedControlUnit& dcu,
   }
 
   try {
+    const vsim::Design design = vsim::parseDesign(source);
+    const vsim::Elaboration elab = vsim::elaborate(design, kXpropTopName);
+    const lowering::PackageCones pkg = lowering::lowerPackage(elab);
+    auto topInput = [&](const std::string& name) {
+      const Lit l = pkg.g.findInput(name);
+      TAUHLS_CHECK(l != kLitFalse, "unknown top input: " + name);
+      return pkg.g.inputIndexOf(aig::nodeOf(l));
+    };
+    const std::size_t rtlRst = topInput("rst");
+    const std::size_t rtlRestart = topInput("restart");
+    std::vector<std::size_t> rtlFree;
+    for (const auto& [name, idx] : m.freeIns) rtlFree.push_back(topInput(name));
+    std::vector<const std::vector<Lit>*> rtlPoint;
+    for (const ComparePoint& pt : points) {
+      rtlPoint.push_back(&pkg.signal[elab.findSignal(pt.rtlName)]);
+    }
+    TernaryEvaluator rtlEval(pkg.g);
+
     for (int inst = 0; inst < instances && row.cexCycle < 0; ++inst) {
-      vsim::Simulator sim(source, kXpropTopName, vsim::ValueMode::Ternary);
-      sim.setAllX();
       TernaryEvaluator eval(m.g);
       std::vector<XWord> regs(m.regs.size(), aig::xAllX());
       std::vector<XWord> inputs(m.g.numInputs(), aig::xAllZero());
+      std::vector<XWord> rtlRegs(pkg.regs.size(), aig::xAllX());
+      std::vector<XWord> rtlInputs(pkg.g.numInputs(), aig::xAllX());
       std::vector<std::string> modelWave(points.size()),
           rtlWave(points.size());
       std::string rstWave, restartWave;
@@ -584,42 +604,45 @@ void checkRtlAgreement(const fsm::DistributedControlUnit& dcu,
       for (int c = 0; c < total && row.cexCycle < 0; ++c) {
         const bool rstNow = c < r;
         const bool restartNow = c == restartAt;
-        sim.setInput("rst", rstNow ? 1 : 0);
-        sim.setInput("restart", restartNow ? 1 : 0);
         inputs[m.rstIdx] = aig::xConcrete(rstNow ? ~std::uint64_t{0} : 0);
         inputs[m.restartIdx] =
             aig::xConcrete(restartNow ? ~std::uint64_t{0} : 0);
         for (std::size_t f = 0; f < m.freeIns.size(); ++f) {
-          if (inst == 0) {
-            sim.setInputX(m.freeIns[f].first);
-            inputs[m.freeIns[f].second] = aig::xAllX();
-          } else {
+          XWord v = aig::xAllX();
+          if (inst > 0) {
             const bool bit = inputWordFor(kSeed ^ 0x52544cull, f,
                                           static_cast<std::size_t>(inst), c) &
                              1;
-            sim.setInput(m.freeIns[f].first, bit ? 1 : 0);
-            inputs[m.freeIns[f].second] =
-                bit ? aig::xAllOne() : aig::xAllZero();
+            v = bit ? aig::xAllOne() : aig::xAllZero();
           }
+          inputs[m.freeIns[f].second] = v;
+          rtlInputs[rtlFree[f]] = v;
         }
         for (std::size_t i = 0; i < m.regs.size(); ++i) {
           inputs[m.regs[i].input] = regs[i];
         }
-        sim.settle();
+        rtlInputs[rtlRst] = inputs[m.rstIdx];
+        rtlInputs[rtlRestart] = inputs[m.restartIdx];
+        for (std::size_t i = 0; i < pkg.regs.size(); ++i) {
+          rtlInputs[pkg.regs[i].input] = rtlRegs[i];
+        }
         eval.run(inputs);
+        rtlEval.run(rtlInputs);
         ++stats.rtlCycles;
         rstWave += rstNow ? '1' : '0';
         restartWave += restartNow ? '1' : '0';
 
         for (std::size_t p = 0; p < points.size(); ++p) {
           const ComparePoint& pt = points[p];
-          const std::uint64_t mask =
-              pt.regIdx.size() > 1
-                  ? (std::uint64_t{1} << pt.regIdx.size()) - 1
-                  : 1;
+          const std::size_t width = std::max<std::size_t>(1, pt.regIdx.size());
           const PackedVal mv = packModel(pt, regs, eval, m);
-          const std::uint64_t rv = sim.signal(pt.rtlName) & mask;
-          const std::uint64_t rx = sim.signalXMask(pt.rtlName) & mask;
+          std::uint64_t rv = 0, rx = 0;
+          const std::vector<Lit>& lits = *rtlPoint[p];
+          for (std::size_t b = 0; b < width && b < lits.size(); ++b) {
+            const XWord w = rtlEval.value(lits[b]);
+            rv |= (w.one & 1) << b;
+            rx |= (w.x & 1) << b;
+          }
           modelWave[p] += pointChar(mv.v, mv.x, pt.regIdx.size() > 1);
           rtlWave[p] += pointChar(rv, rx, pt.regIdx.size() > 1);
 
@@ -658,7 +681,9 @@ void checkRtlAgreement(const fsm::DistributedControlUnit& dcu,
         for (std::size_t i = 0; i < m.regs.size(); ++i) {
           regs[i] = eval.value(m.regs[i].next);
         }
-        sim.clockEdge();
+        for (std::size_t i = 0; i < pkg.regs.size(); ++i) {
+          rtlRegs[i] = rtlEval.value(pkg.regs[i].next);
+        }
       }
       row.gateEvals += eval.gateEvals();
       stats.gateEvals += eval.gateEvals();

@@ -5,9 +5,10 @@
 // signal, wired exactly as rtl::emitDistributedTop wires them) is lowered to
 // a sequential AIG whose registers are the encoded controller state bits and
 // the latch `held` bits, around the cycle cones of lowering::networkStep (the
-// lowering the symbolic model check proves its MDL properties on).  A bit-parallel ternary evaluator (aig/ternary.hpp)
-// then simulates 64 power-on instances per word from the adversarial
-// *all-X* initial state through the reset protocol:
+// lowering the symbolic model check proves its MDL properties on).  A
+// bit-parallel ternary evaluator (aig/ternary.hpp) then simulates 64
+// power-on instances per word from the adversarial *all-X* initial state
+// through the reset protocol:
 //
 //   cycle 0..r-1   rst = 1, restart = 0       (r searched 1..maxCycles)
 //   cycle r..      rst = 0; one restart pulse two cycles after release
@@ -23,8 +24,10 @@
 //           X after the reset window -- model-level, per controller/latch,
 //           with a per-cycle 0/1/X waveform of the offending cone.
 //   XPR002  the emitted RTL disagrees with the network model under ternary
-//           replay (vsim ValueMode::Ternary): a mutually-determinate bit
-//           differs, or the RTL holds X where the model proved determinacy.
+//           replay: the package, lowered once to a sequential AIG
+//           (lowering::lowerPackage), runs on the same ternary evaluator,
+//           and a mutually-determinate bit differs, or the RTL holds X
+//           where the model proved determinacy, or the RTL never settles.
 //   XPR003  the hierarchical region sequencer or a ST_/DN_ handshake latch
 //           stays X across a region boundary (composed flow only).
 //   XPR004  info summary with the proven reset depth and instance count.
@@ -78,7 +81,7 @@ struct XpropStats {
   int resetDepth = -1;        ///< r that drained every X; -1 when none did
   std::uint64_t instances = 0;   ///< concrete power-on instances simulated
   std::uint64_t gateEvals = 0;   ///< ternary AND-word evaluations
-  std::uint64_t rtlCycles = 0;   ///< ternary vsim cycles replayed (XPR002/003)
+  std::uint64_t rtlCycles = 0;   ///< emitted-RTL cycles replayed (XPR002)
   std::vector<XpropPropertyStat> properties;  ///< one row per rule that ran
 
   /// Per-rule cost rows for the pipeline trace (queries = instances).

@@ -22,7 +22,7 @@ namespace tauhls::vsim {
 enum class ExprKind : std::uint8_t {
   Const,     // sized constant (value)
   Ref,       // identifier (net, reg, or localparam)
-  Not,       // ! / ~ (identical on 1-bit operands; we evaluate bitwise)
+  Not,       // ! / ~ (identical on 1-bit operands; evaluated as logical !)
   And,       // & / &&
   Or,        // | / ||
   Xor,       // ^

@@ -7,14 +7,10 @@
 
 namespace tauhls::vsim {
 
-Simulator::Simulator(const std::string& source, const std::string& topModule,
-                     ValueMode mode)
-    : design_(parseDesign(source)), mode_(mode) {
+Simulator::Simulator(const std::string& source, const std::string& topModule)
+    : design_(parseDesign(source)) {
   elab_ = elaborate(design_, topModule);
   values_.assign(elab_.signalNames.size(), 0);
-  if (mode_ == ValueMode::Ternary) {
-    xmask_.assign(elab_.signalNames.size(), 0);
-  }
   settle();
 }
 
@@ -28,36 +24,10 @@ void Simulator::setInput(const std::string& name, std::uint64_t value) {
   auto it = top.signalOf.find(name);
   TAUHLS_CHECK(it != top.signalOf.end(), "unknown top input: " + name);
   values_[it->second] = value & maskOf(it->second);
-  if (mode_ == ValueMode::Ternary) xmask_[it->second] = 0;
-}
-
-void Simulator::setInputX(const std::string& name) {
-  TAUHLS_CHECK(mode_ == ValueMode::Ternary,
-               "setInputX requires the ternary value mode");
-  const FlatInstance& top = elab_.instances.front();
-  auto it = top.signalOf.find(name);
-  TAUHLS_CHECK(it != top.signalOf.end(), "unknown top input: " + name);
-  values_[it->second] = 0;
-  xmask_[it->second] = maskOf(it->second);
-}
-
-void Simulator::setAllX() {
-  TAUHLS_CHECK(mode_ == ValueMode::Ternary,
-               "setAllX requires the ternary value mode");
-  for (SignalId id = 0; id < values_.size(); ++id) {
-    values_[id] = 0;
-    xmask_[id] = maskOf(id);
-  }
 }
 
 std::uint64_t Simulator::signal(const std::string& hierarchicalName) const {
   return values_[elab_.findSignal(hierarchicalName)];
-}
-
-std::uint64_t Simulator::signalXMask(
-    const std::string& hierarchicalName) const {
-  if (mode_ != ValueMode::Ternary) return 0;
-  return xmask_[elab_.findSignal(hierarchicalName)];
 }
 
 std::uint64_t Simulator::top(const std::string& localName) const {
@@ -67,17 +37,6 @@ std::uint64_t Simulator::top(const std::string& localName) const {
                "unknown top signal: " + localName);
   return values_[it->second];
 }
-
-std::uint64_t Simulator::topXMask(const std::string& localName) const {
-  if (mode_ != ValueMode::Ternary) return 0;
-  const FlatInstance& topInst = elab_.instances.front();
-  auto it = topInst.signalOf.find(localName);
-  TAUHLS_CHECK(it != topInst.signalOf.end(),
-               "unknown top signal: " + localName);
-  return xmask_[it->second];
-}
-
-// --- two-valued engine (unchanged) -----------------------------------------
 
 std::uint64_t Simulator::eval(const FlatInstance& inst, const Expr& e) const {
   switch (e.kind) {
@@ -228,7 +187,7 @@ void Simulator::execStmts(const FlatInstance& inst,
   }
 }
 
-void Simulator::settleTwoValued() {
+void Simulator::settle() {
   for (int iter = 0;; ++iter) {
     TAUHLS_CHECK(iter < 200,
                  "combinational logic did not settle (possible loop)");
@@ -271,370 +230,15 @@ void Simulator::settleTwoValued() {
   }
 }
 
-// --- ternary engine ---------------------------------------------------------
-
-int Simulator::boolT(TVal a, std::uint64_t mask) {
-  if ((a.v & mask) != 0) return 1;
-  if ((a.x & mask) != 0) return 0;
-  return -1;
-}
-
-Simulator::TVal Simulator::mergeT(TVal a, TVal b) {
-  const std::uint64_t x = a.x | b.x | (a.v ^ b.v);
-  return {a.v & b.v & ~x, x};
-}
-
-Simulator::TVal Simulator::evalT(const FlatInstance& inst,
-                                 const Expr& e) const {
-  switch (e.kind) {
-    case ExprKind::Const:
-      return {e.value, 0};
-    case ExprKind::Ref: {
-      auto lp = inst.module->localparams.find(e.name);
-      if (lp != inst.module->localparams.end()) return {lp->second, 0};
-      auto sig = inst.signalOf.find(e.name);
-      TAUHLS_CHECK(sig != inst.signalOf.end(),
-                   "undeclared signal '" + e.name + "' in " +
-                       inst.module->name);
-      return {values_[sig->second], xmask_[sig->second]};
-    }
-    case ExprKind::Not: {
-      const TVal a = evalT(inst, *e.args[0]);
-      switch (boolT(a, ~std::uint64_t{0})) {
-        case 1:
-          return {0, 0};
-        case -1:
-          return {1, 0};
-        default:
-          return {0, 1};
-      }
-    }
-    case ExprKind::And: {
-      const TVal a = evalT(inst, *e.args[0]);
-      const TVal b = evalT(inst, *e.args[1]);
-      const std::uint64_t zero = (~a.v & ~a.x) | (~b.v & ~b.x);
-      const std::uint64_t x = (a.x | b.x) & ~zero;
-      return {a.v & b.v, x};
-    }
-    case ExprKind::Or: {
-      const TVal a = evalT(inst, *e.args[0]);
-      const TVal b = evalT(inst, *e.args[1]);
-      const std::uint64_t x = (a.x | b.x) & ~a.v & ~b.v;
-      return {(a.v | b.v) & ~x, x};
-    }
-    case ExprKind::Xor: {
-      const TVal a = evalT(inst, *e.args[0]);
-      const TVal b = evalT(inst, *e.args[1]);
-      const std::uint64_t x = a.x | b.x;
-      return {(a.v ^ b.v) & ~x, x};
-    }
-    case ExprKind::Eq:
-    case ExprKind::NotEq: {
-      const TVal a = evalT(inst, *e.args[0]);
-      const TVal b = evalT(inst, *e.args[1]);
-      // Full-width comparison like the two-valued engine; a known differing
-      // bit decides the comparison even when other bits are X.
-      int truth;
-      if (((a.v ^ b.v) & ~a.x & ~b.x) != 0) {
-        truth = -1;
-      } else if ((a.x | b.x) != 0) {
-        truth = 0;
-      } else {
-        truth = 1;
-      }
-      if (e.kind == ExprKind::NotEq) truth = -truth;
-      if (truth == 0) return {0, 1};
-      return {truth > 0 ? std::uint64_t{1} : 0, 0};
-    }
-    case ExprKind::Cond: {
-      const TVal c = evalT(inst, *e.args[0]);
-      switch (boolT(c, ~std::uint64_t{0})) {
-        case 1:
-          return evalT(inst, *e.args[1]);
-        case -1:
-          return evalT(inst, *e.args[2]);
-        default:
-          return mergeT(evalT(inst, *e.args[1]), evalT(inst, *e.args[2]));
-      }
-    }
-    case ExprKind::Concat: {
-      TVal out;
-      for (const ExprPtr& arg : e.args) {
-        const int w = widthOfExpr(inst, *arg);
-        const std::uint64_t mask =
-            w >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << w) - 1);
-        const TVal part = evalT(inst, *arg);
-        out.v = (out.v << w) | (part.v & mask);
-        out.x = (out.x << w) | (part.x & mask);
-      }
-      return out;
-    }
-    case ExprKind::RedAnd: {
-      const int w = widthOfExpr(inst, *e.args[0]);
-      const std::uint64_t mask =
-          w >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << w) - 1);
-      const TVal a = evalT(inst, *e.args[0]);
-      if ((~a.v & ~a.x & mask) != 0) return {0, 0};  // a known-0 bit decides
-      if ((a.x & mask) != 0) return {0, 1};
-      return {1, 0};
-    }
-    case ExprKind::RedOr: {
-      const TVal a = evalT(inst, *e.args[0]);
-      switch (boolT(a, ~std::uint64_t{0})) {
-        case 1:
-          return {1, 0};
-        case -1:
-          return {0, 0};
-        default:
-          return {0, 1};
-      }
-    }
-    case ExprKind::RedXor: {
-      const int w = widthOfExpr(inst, *e.args[0]);
-      const std::uint64_t mask =
-          w >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << w) - 1);
-      const TVal a = evalT(inst, *e.args[0]);
-      if ((a.x & mask) != 0) return {0, 1};
-      return {static_cast<std::uint64_t>(std::popcount(a.v & mask) & 1), 0};
-    }
-  }
-  TAUHLS_FAIL("unknown expression kind");
-}
-
-void Simulator::writeT(const FlatInstance& inst, const std::string& name,
-                       TVal value) {
-  auto sig = inst.signalOf.find(name);
-  TAUHLS_CHECK(sig != inst.signalOf.end(),
-               "assignment to undeclared signal '" + name + "'");
-  const std::uint64_t mask = maskOf(sig->second);
-  values_[sig->second] = value.v & mask & ~value.x;
-  xmask_[sig->second] = value.x & mask;
-}
-
-Simulator::TVal Simulator::heldT(const std::map<SignalId, TVal>* nba,
-                                 SignalId id) const {
-  if (nba != nullptr) {
-    const auto it = nba->find(id);
-    if (it != nba->end()) return it->second;
-  }
-  return {values_[id], xmask_[id]};
-}
-
-void Simulator::execBothT(
-    const std::function<void(std::map<SignalId, TVal>*)>& thenFn,
-    const std::function<void(std::map<SignalId, TVal>*)>& elseFn,
-    std::map<SignalId, TVal>* nba) {
-  const std::vector<std::uint64_t> savedV = values_;
-  const std::vector<std::uint64_t> savedX = xmask_;
-  // Each side starts from the pending assignments so nested merges see
-  // earlier same-block writes as the held value.
-  std::map<SignalId, TVal> nbaThen, nbaElse;
-  if (nba != nullptr) {
-    nbaThen = *nba;
-    nbaElse = *nba;
-  }
-  thenFn(nba != nullptr ? &nbaThen : nullptr);
-  const std::vector<std::uint64_t> thenV = std::move(values_);
-  const std::vector<std::uint64_t> thenX = std::move(xmask_);
-  values_ = savedV;
-  xmask_ = savedX;
-  elseFn(nba != nullptr ? &nbaElse : nullptr);
-  for (SignalId id = 0; id < values_.size(); ++id) {
-    const TVal m = mergeT({thenV[id], thenX[id]}, {values_[id], xmask_[id]});
-    values_[id] = m.v;
-    xmask_[id] = m.x;
-  }
-  if (nba != nullptr) {
-    // A register one branch leaves unassigned holds its value on that side.
-    std::map<SignalId, TVal> merged;
-    for (const auto* side : {&nbaThen, &nbaElse}) {
-      for (const auto& [id, unused] : *side) {
-        if (merged.contains(id)) continue;
-        const auto t = nbaThen.find(id);
-        const auto e = nbaElse.find(id);
-        const TVal tv = t != nbaThen.end() ? t->second : heldT(nba, id);
-        const TVal ev = e != nbaElse.end() ? e->second : heldT(nba, id);
-        merged[id] = mergeT(tv, ev);
-      }
-    }
-    for (const auto& [id, value] : merged) (*nba)[id] = value;
-  }
-}
-
-void Simulator::execCaseChainT(const FlatInstance& inst, const Stmt& stmt,
-                               std::size_t idx, TVal subject,
-                               std::uint64_t subjectMask,
-                               const CaseArm* fallback,
-                               std::map<SignalId, TVal>* nba) {
-  while (idx < stmt.arms.size() && !stmt.arms[idx].label) ++idx;
-  if (idx == stmt.arms.size()) {
-    if (fallback != nullptr) execStmtsT(inst, fallback->body, nba);
-    return;
-  }
-  const CaseArm& arm = stmt.arms[idx];
-  const TVal label = evalT(inst, *arm.label);
-  int truth;
-  if ((((subject.v ^ label.v) & ~subject.x & ~label.x) & subjectMask) != 0) {
-    truth = -1;
-  } else if (((subject.x | label.x) & subjectMask) != 0) {
-    truth = 0;
-  } else {
-    truth = 1;
-  }
-  if (truth > 0) {
-    execStmtsT(inst, arm.body, nba);
-  } else if (truth < 0) {
-    execCaseChainT(inst, stmt, idx + 1, subject, subjectMask, fallback, nba);
-  } else {
-    execBothT(
-        [&](std::map<SignalId, TVal>* n) { execStmtsT(inst, arm.body, n); },
-        [&](std::map<SignalId, TVal>* n) {
-          execCaseChainT(inst, stmt, idx + 1, subject, subjectMask, fallback,
-                         n);
-        },
-        nba);
-  }
-}
-
-void Simulator::execStmtsT(const FlatInstance& inst,
-                           const std::vector<StmtPtr>& stmts,
-                           std::map<SignalId, TVal>* nba) {
-  for (const StmtPtr& stmt : stmts) {
-    switch (stmt->kind) {
-      case StmtKind::Assign: {
-        const TVal v = evalT(inst, *stmt->rhs);
-        if (nba != nullptr && stmt->nonblocking) {
-          auto sig = inst.signalOf.find(stmt->lhs);
-          TAUHLS_CHECK(sig != inst.signalOf.end(),
-                       "nonblocking assignment to undeclared signal '" +
-                           stmt->lhs + "'");
-          const std::uint64_t mask = maskOf(sig->second);
-          (*nba)[sig->second] = {v.v & mask & ~v.x, v.x & mask};
-        } else {
-          writeT(inst, stmt->lhs, v);
-        }
-        break;
-      }
-      case StmtKind::If: {
-        const int truth = boolT(evalT(inst, *stmt->condition), ~std::uint64_t{0});
-        if (truth > 0) {
-          execStmtsT(inst, stmt->thenBody, nba);
-        } else if (truth < 0) {
-          execStmtsT(inst, stmt->elseBody, nba);
-        } else {
-          execBothT(
-              [&](std::map<SignalId, TVal>* n) {
-                execStmtsT(inst, stmt->thenBody, n);
-              },
-              [&](std::map<SignalId, TVal>* n) {
-                execStmtsT(inst, stmt->elseBody, n);
-              },
-              nba);
-        }
-        break;
-      }
-      case StmtKind::Case: {
-        const TVal subject = evalT(inst, *stmt->subject);
-        const int w = widthOfExpr(inst, *stmt->subject);
-        const std::uint64_t mask =
-            w >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << w) - 1);
-        const CaseArm* fallback = nullptr;
-        for (const CaseArm& arm : stmt->arms) {
-          if (!arm.label) fallback = &arm;
-        }
-        execCaseChainT(inst, *stmt, 0, subject, mask, fallback, nba);
-        break;
-      }
-    }
-  }
-}
-
-void Simulator::settleTernary() {
-  for (int iter = 0;; ++iter) {
-    TAUHLS_CHECK(iter < 200,
-                 "combinational logic did not settle (possible loop)");
-    const std::vector<std::uint64_t> beforeV = values_;
-    const std::vector<std::uint64_t> beforeX = xmask_;
-    for (const FlatInstance& inst : elab_.instances) {
-      for (const NetDecl& d : inst.module->nets) {
-        if (d.init) writeT(inst, d.name, evalT(inst, *d.init));
-      }
-      for (const ContinuousAssign& a : inst.module->assigns) {
-        writeT(inst, a.lhs, evalT(inst, *a.rhs));
-      }
-      for (const GateInst& g : inst.module->gates) {
-        int truth;  // fold the gate in Kleene logic
-        if (g.kind == "not") {
-          TAUHLS_CHECK(g.inputs.size() == 1, "not gate needs one input");
-          auto sig = inst.signalOf.find(g.inputs[0]);
-          TAUHLS_CHECK(sig != inst.signalOf.end(), "undeclared gate input");
-          truth = -boolT({values_[sig->second], xmask_[sig->second]},
-                         ~std::uint64_t{0});
-        } else {
-          const bool isAnd = g.kind == "and";
-          truth = isAnd ? 1 : -1;
-          for (const std::string& in : g.inputs) {
-            auto sig = inst.signalOf.find(in);
-            TAUHLS_CHECK(sig != inst.signalOf.end(), "undeclared gate input");
-            const int bit = boolT({values_[sig->second], xmask_[sig->second]},
-                                  ~std::uint64_t{0});
-            if (isAnd) {
-              if (bit < 0) {
-                truth = -1;
-                break;
-              }
-              if (bit == 0) truth = 0;
-            } else {
-              if (bit > 0) {
-                truth = 1;
-                break;
-              }
-              if (bit == 0) truth = 0;
-            }
-          }
-        }
-        writeT(inst, g.output,
-               truth == 0 ? TVal{0, 1}
-                          : TVal{truth > 0 ? std::uint64_t{1} : 0, 0});
-      }
-      for (const AlwaysBlock& blk : inst.module->always) {
-        if (!blk.sequential) execStmtsT(inst, blk.body, nullptr);
-      }
-    }
-    if (values_ == beforeV && xmask_ == beforeX) return;
-  }
-}
-
-void Simulator::settle() {
-  if (mode_ == ValueMode::Ternary) {
-    settleTernary();
-  } else {
-    settleTwoValued();
-  }
-}
-
 void Simulator::clockEdge() {
   settle();
-  if (mode_ == ValueMode::Ternary) {
-    std::map<SignalId, TVal> nba;
-    for (const FlatInstance& inst : elab_.instances) {
-      for (const AlwaysBlock& blk : inst.module->always) {
-        if (blk.sequential) execStmtsT(inst, blk.body, &nba);
-      }
+  std::vector<std::pair<SignalId, std::uint64_t>> nba;
+  for (const FlatInstance& inst : elab_.instances) {
+    for (const AlwaysBlock& blk : inst.module->always) {
+      if (blk.sequential) execStmts(inst, blk.body, true, &nba);
     }
-    for (const auto& [sig, value] : nba) {
-      values_[sig] = value.v;
-      xmask_[sig] = value.x;
-    }
-  } else {
-    std::vector<std::pair<SignalId, std::uint64_t>> nba;
-    for (const FlatInstance& inst : elab_.instances) {
-      for (const AlwaysBlock& blk : inst.module->always) {
-        if (blk.sequential) execStmts(inst, blk.body, true, &nba);
-      }
-    }
-    for (const auto& [sig, value] : nba) values_[sig] = value;
   }
+  for (const auto& [sig, value] : nba) values_[sig] = value;
   settle();
 }
 

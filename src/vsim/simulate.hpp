@@ -8,27 +8,16 @@
 // synthesizable subset's semantics exactly (no delta-delay races exist in
 // the emitted code: the combinational signal graph is acyclic).
 //
-// Two value modes:
-//
-//   TwoValued  every signal is a plain uint64 (the historical behaviour,
-//              byte-identical to before the ternary mode existed);
-//   Ternary    every signal carries a second X plane (bit set = unknown)
-//              and all evaluation follows Kleene logic -- an if/case whose
-//              condition is X executes *both* branches and merges the
-//              written signals (agreeing determinate bits survive, anything
-//              else goes X), and unassigned registers hold their value.
-//
-// The ternary mode is the RTL half of the reset-robustness analysis
-// (verify/xprop_check.hpp): start with setAllX(), drive the reset protocol,
-// and watch every register's X plane drain.  It is monotone in the
-// information order, so a determinate outcome covers every concrete
-// power-on refinement.
+// Values are two-valued: every signal is a plain uint64, and every signal
+// powers on at 0.  Ternary (0/1/X) questions about an emitted package are
+// answered on its AIG lowering instead (verify/lowering.hpp lowerPackage,
+// simulated by aig/ternary.hpp), which the reset-robustness replay
+// (verify/xprop_check.hpp) drives from an all-X power-on.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "vsim/elaborate.hpp"
@@ -36,37 +25,18 @@
 
 namespace tauhls::vsim {
 
-/// How signal values are represented and evaluated (see file comment).
-enum class ValueMode : int {
-  TwoValued = 0,
-  Ternary = 1,
-};
-
 class Simulator {
  public:
-  /// Parse + elaborate + reset all signals to 0 (no X anywhere yet).
-  Simulator(const std::string& source, const std::string& topModule,
-            ValueMode mode = ValueMode::TwoValued);
+  /// Parse + elaborate + reset all signals to 0.
+  Simulator(const std::string& source, const std::string& topModule);
 
-  ValueMode mode() const { return mode_; }
-
-  /// Set a top-level input (by local name on the top module).  In ternary
-  /// mode this also clears the input's X plane.
+  /// Set a top-level input (by local name on the top module).
   void setInput(const std::string& name, std::uint64_t value);
-  /// Mark a top-level input all-X (ternary mode only).
-  void setInputX(const std::string& name);
-  /// Mark *every* signal all-X (ternary mode only): the adversarial
-  /// power-on state.  Re-drive the inputs afterwards, then settle().
-  void setAllX();
 
   /// Read any signal by hierarchical name ("RE_m1", "u_ctrl.state", ...).
-  /// In ternary mode this is the value plane (X bits read 0).
   std::uint64_t signal(const std::string& hierarchicalName) const;
-  /// X plane of a signal; always 0 in TwoValued mode.
-  std::uint64_t signalXMask(const std::string& hierarchicalName) const;
   /// Read a top-level signal by local name.
   std::uint64_t top(const std::string& localName) const;
-  std::uint64_t topXMask(const std::string& localName) const;
 
   /// Propagate combinational logic to a fixpoint.
   void settle();
@@ -76,42 +46,12 @@ class Simulator {
   const Elaboration& elaboration() const { return elab_; }
 
  private:
-  /// Ternary signal value: value plane + X plane, canonical `v & x == 0`.
-  struct TVal {
-    std::uint64_t v = 0;
-    std::uint64_t x = 0;
-  };
-
-  // --- two-valued engine (unchanged semantics) -----------------------------
   std::uint64_t eval(const FlatInstance& inst, const Expr& e) const;
   void execStmts(const FlatInstance& inst,
                  const std::vector<StmtPtr>& stmts, bool sequential,
                  std::vector<std::pair<SignalId, std::uint64_t>>* nba);
   void write(const FlatInstance& inst, const std::string& name,
              std::uint64_t value);
-  void settleTwoValued();
-
-  // --- ternary engine ------------------------------------------------------
-  TVal evalT(const FlatInstance& inst, const Expr& e) const;
-  /// Kleene truth of a (masked) value: +1 true, -1 false, 0 unknown.
-  static int boolT(TVal a, std::uint64_t mask);
-  /// Branch merge under an X condition (agree-or-X).
-  static TVal mergeT(TVal a, TVal b);
-  void writeT(const FlatInstance& inst, const std::string& name, TVal value);
-  void execStmtsT(const FlatInstance& inst, const std::vector<StmtPtr>& stmts,
-                  std::map<SignalId, TVal>* nba);
-  void execCaseChainT(const FlatInstance& inst, const Stmt& stmt,
-                      std::size_t idx, TVal subject, std::uint64_t subjectMask,
-                      const CaseArm* fallback, std::map<SignalId, TVal>* nba);
-  /// Execute both alternatives of an X-condition branch on copies of the
-  /// simulation state and merge every signal (and pending NBA) per mergeT.
-  void execBothT(const std::function<void(std::map<SignalId, TVal>*)>& thenFn,
-                 const std::function<void(std::map<SignalId, TVal>*)>& elseFn,
-                 std::map<SignalId, TVal>* nba);
-  /// Value a register holds when one branch of a merge leaves it unassigned:
-  /// the pending NBA value if any, else the current (pre-edge) signal.
-  TVal heldT(const std::map<SignalId, TVal>* nba, SignalId id) const;
-  void settleTernary();
 
   /// Bit width of an expression (needed by concat/reduction evaluation).
   int widthOfExpr(const FlatInstance& inst, const Expr& e) const;
@@ -119,10 +59,7 @@ class Simulator {
 
   Design design_;
   Elaboration elab_;
-  ValueMode mode_ = ValueMode::TwoValued;
   std::vector<std::uint64_t> values_;
-  /// Per-signal X plane; sized only in ternary mode.
-  std::vector<std::uint64_t> xmask_;
 };
 
 }  // namespace tauhls::vsim

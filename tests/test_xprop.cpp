@@ -2,16 +2,23 @@
 // (verify/xprop_check.hpp) and the don't-care soundness checker
 // (verify/dcs_check.hpp).
 //
-// Six families:
+// Seven families:
 //   - clean sweeps: every paper benchmark under both binding strategies and
 //     both state encodings proves XPR001/XPR002 and DCS001/DCS002, and the
 //     composed fir_iir_loop proves XPR003 on top;
 //   - one lowering: the network cycle XPR and the symbolic model check
 //     share (lowering::networkStep) steps exactly like fsm::stepNetwork;
+//   - one package lowering: the emitted package lowered to a sequential AIG
+//     (lowering::lowerPackage, what XPR002 replays) matches two-valued vsim
+//     signal for signal, and its all-X lane is sound against every
+//     concretization;
 //   - mutations: each injected fault (model latch without reset, controller
-//     without state reset, RTL latch without a reset arc, sequencer done
-//     latch without init, don't-care-abusing minimizer) is caught by exactly
-//     its rule, with a decodable per-cycle waveform;
+//     without state reset, RTL latch without a reset arc, RTL controller
+//     without its reset arm, RTL latch level without the live pulse, swapped
+//     RTL latch pulses, sequencer done latch without init,
+//     don't-care-abusing minimizer) is caught by exactly its rule, with a
+//     decodable per-cycle waveform, and RTL that never settles is a
+//     diagnostic;
 //   - budget: a DCS002 query that exhausts its conflict budget closes the
 //     row UNKNOWN without searching deeper;
 //   - determinism: verdicts and waveforms are bit-identical across thread
@@ -52,6 +59,7 @@
 #include "verify/dcs_check.hpp"
 #include "verify/lowering.hpp"
 #include "verify/xprop_check.hpp"
+#include "vsim/simulate.hpp"
 
 namespace tauhls::verify {
 namespace {
@@ -301,6 +309,142 @@ TEST(NetworkStep, MatchesStepNetwork) {
   }
 }
 
+// ---- one lowering of the emitted package ----------------------------------
+
+/// Every network whose emitted package the lowering is pinned on: the
+/// Table 2 suite under both binding strategies with and without signal
+/// optimization, AR-lattice under one and four multipliers, and the
+/// fir_iir_loop leaves.
+std::vector<std::pair<std::string, fsm::DistributedControlUnit>>
+packageDesigns() {
+  std::vector<std::pair<std::string, fsm::DistributedControlUnit>> designs;
+  for (const dfg::NamedBenchmark& b : dfg::paperTable2Suite()) {
+    for (const sched::BindingStrategy strategy :
+         {sched::BindingStrategy::LeftEdge,
+          sched::BindingStrategy::CliqueCover}) {
+      const sched::ScheduledDfg s = sched::scheduleAndBind(
+          b.graph, b.allocation, tau::paperLibrary(), strategy);
+      const std::string label =
+          b.name + " strategy " + std::to_string(static_cast<int>(strategy));
+      const fsm::DistributedControlUnit raw = fsm::buildDistributed(s);
+      designs.emplace_back(label + " unoptimized", raw);
+      designs.emplace_back(label, fsm::optimizeSignals(raw));
+    }
+  }
+  for (const int mults : {1, 4}) {
+    designs.emplace_back(
+        "ar_lattice mult=" + std::to_string(mults),
+        fsm::optimizeSignals(fsm::buildDistributed(sched::scheduleAndBind(
+            dfg::arLattice(),
+            Allocation{{ResourceClass::Multiplier, mults},
+                       {ResourceClass::Adder, 1}},
+            tau::paperLibrary()))));
+  }
+  const core::HierFlowResult r =
+      core::runHierFlow(dfg::firIirLoop(), regionFlowConfig());
+  for (const fsm::LeafControl& leaf : r.control.leaves) {
+    designs.emplace_back("fir_iir_loop leaf " + leaf.path, leaf.dcu);
+  }
+  return designs;
+}
+
+/// Runs `dcu`'s emitted package for 17 cycles on its lowered AIG and on
+/// kLanes two-valued vsim instances (registers power on at 0).  Cycle 0
+/// resets, restart fires at cycle 3, every other top input is seeded random
+/// per vsim instance.
+///   allXLane = false: AIG lane k mirrors vsim instance k from the same
+///     power-on; every bit of every elaborated signal must be determinate
+///     and equal.
+///   allXLane = true:  AIG lane 0 powers on all-X under all-X free inputs;
+///     each of its determinate bits must equal every vsim instance, each a
+///     concretization of it.
+void expectPackageLoweringMatchesVsim(const fsm::DistributedControlUnit& dcu,
+                                      const std::string& label,
+                                      bool allXLane) {
+  constexpr int kLanes = 8;
+  const std::string source = rtl::emitPackage(dcu, "tauhls_xprop_top");
+  const vsim::Design design = vsim::parseDesign(source);
+  const vsim::Elaboration elab = vsim::elaborate(design, "tauhls_xprop_top");
+  const lowering::PackageCones pkg = lowering::lowerPackage(elab);
+  std::vector<std::unique_ptr<vsim::Simulator>> sims;
+  for (int k = 0; k < kLanes; ++k) {
+    sims.push_back(
+        std::make_unique<vsim::Simulator>(source, "tauhls_xprop_top"));
+  }
+
+  std::vector<std::string> topInputs;
+  for (const vsim::Port& p : elab.top->ports) {
+    if (p.dir == vsim::PortDir::Input) topInputs.push_back(p.name);
+  }
+  const aig::XWord powerOn = allXLane ? aig::xAllX() : aig::xAllZero();
+  std::vector<aig::XWord> regs(pkg.regs.size(), powerOn);
+  std::vector<aig::XWord> inputs(pkg.g.numInputs(), aig::xAllZero());
+  aig::TernaryEvaluator eval(pkg.g);
+  std::mt19937_64 rng(0x706b67);
+  std::uint64_t determinate = 0;
+  for (int cycle = 0; cycle < 17; ++cycle) {
+    for (const std::string& in : topInputs) {
+      const std::size_t idx =
+          pkg.g.inputIndexOf(aig::nodeOf(pkg.g.findInput(in)));
+      std::uint64_t lanes = 0;
+      bool free = false;
+      if (in == "rst") {
+        lanes = cycle == 0 ? ~std::uint64_t{0} : 0;
+      } else if (in == "restart") {
+        lanes = cycle == 3 ? ~std::uint64_t{0} : 0;
+      } else if (in != "clk") {
+        lanes = rng();
+        free = true;
+      }
+      for (int k = 0; k < kLanes; ++k) sims[k]->setInput(in, (lanes >> k) & 1);
+      inputs[idx] = free && allXLane ? aig::xAllX() : aig::xConcrete(lanes);
+    }
+    for (std::size_t i = 0; i < pkg.regs.size(); ++i) {
+      inputs[pkg.regs[i].input] = regs[i];
+    }
+    eval.run(inputs);
+    for (const auto& sim : sims) sim->settle();
+
+    for (vsim::SignalId id = 0; id < elab.signalNames.size(); ++id) {
+      const std::string& name = elab.signalNames[id];
+      const std::vector<aig::Lit>& lits = pkg.signal[id];
+      for (int k = 0; k < kLanes; ++k) {
+        const std::uint64_t want = sims[k]->signal(name);
+        for (std::size_t b = 0; b < lits.size(); ++b) {
+          const aig::XWord w = eval.value(lits[b]);
+          const int lane = allXLane ? 0 : k;
+          const bool x = (w.x >> lane) & 1;
+          if (allXLane && x) continue;
+          ASSERT_FALSE(x) << label << " " << name << "[" << b << "] lane "
+                          << k << " cycle " << cycle;
+          ASSERT_EQ((w.one >> lane) & 1, (want >> b) & 1)
+              << label << " " << name << "[" << b << "] vsim instance " << k
+              << " cycle " << cycle;
+          ++determinate;
+        }
+      }
+    }
+
+    for (std::size_t i = 0; i < pkg.regs.size(); ++i) {
+      regs[i] = eval.value(pkg.regs[i].next);
+    }
+    for (const auto& sim : sims) sim->clockEdge();
+  }
+  EXPECT_GT(determinate, 0u) << label;
+}
+
+TEST(RtlPackageLowering, MatchesTwoValuedVsim) {
+  for (const auto& [label, dcu] : packageDesigns()) {
+    expectPackageLoweringMatchesVsim(dcu, label, false);
+  }
+}
+
+TEST(RtlPackageLowering, AllXLaneIsSound) {
+  for (const auto& [label, dcu] : packageDesigns()) {
+    expectPackageLoweringMatchesVsim(dcu, label, true);
+  }
+}
+
 // ---- mutations -------------------------------------------------------------
 
 TEST(XpropMutation, LatchWithoutResetTripsXpr001) {
@@ -347,6 +491,108 @@ TEST(XpropMutation, RtlLatchWithoutResetArcTripsXpr002) {
       << renderText(report);
   const std::string msg = report.withCode("XPR002").front().message;
   EXPECT_NE(msg.find('X'), std::string::npos) << msg;
+}
+
+/// `source` with its first `from` replaced by `to`.
+std::string edited(std::string source, const std::string& from,
+                   const std::string& to) {
+  const std::size_t at = source.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) source.replace(at, from.size(), to);
+  return source;
+}
+
+/// Runs XPR on fig2 against `rtlOverride`, expects XPR002 to be the only
+/// rule tripped, and returns its first diagnostic.
+Diagnostic onlyXpr002(const fsm::DistributedControlUnit& dcu,
+                      const std::string& rtlOverride) {
+  XprOptions xo;
+  xo.rtlOverride = rtlOverride;
+  Report report;
+  checkXprop(dcu, "dcu fig2", report, xo);
+  EXPECT_EQ(errorCodes(report), std::set<std::string>{"XPR002"})
+      << renderText(report);
+  if (!report.has("XPR002")) return {};
+  return report.withCode("XPR002").front();
+}
+
+/// onlyXpr002, plus a model/RTL waveform of the failing compare point;
+/// returns the message.
+std::string expectOnlyXpr002WithWave(const fsm::DistributedControlUnit& dcu,
+                                     const std::string& rtlOverride) {
+  const Diagnostic d = onlyXpr002(dcu, rtlOverride);
+  EXPECT_NE(d.message.find("cycle 0"), std::string::npos) << d.message;
+  EXPECT_NE(d.message.find(" model " + d.where + " "), std::string::npos)
+      << d.message;
+  EXPECT_NE(d.message.find(" rtl " + d.where + " "), std::string::npos)
+      << d.message;
+  return d.message;
+}
+
+TEST(XpropMutation, RtlControllerWithoutResetArmTripsXpr002) {
+  // The first controller's `if (rst)` arm can never fire: its state register
+  // keeps the power-on X through the reset window.
+  const fsm::DistributedControlUnit dcu = fig2Dcu();
+  const std::string msg = expectOnlyXpr002WithWave(
+      dcu, edited(rtl::emitPackage(dcu, "tauhls_xprop_top"),
+                  "    if (rst)\n      state <=",
+                  "    if (1'b0)\n      state <="));
+  EXPECT_NE(msg.find('X'), std::string::npos) << msg;
+}
+
+TEST(XpropMutation, RtlLatchLevelWithoutLivePulseTripsXpr002) {
+  // A latch whose level drops the live pulse delays every same-cycle
+  // consumer by one clock.
+  const fsm::DistributedControlUnit dcu = fig2Dcu();
+  expectOnlyXpr002WithWave(
+      dcu, edited(rtl::emitPackage(dcu, "tauhls_xprop_top"),
+                  "assign level = held | pulse;", "assign level = held;"));
+}
+
+/// The fig2 package with the `.pulse(...)` connections of the completion
+/// latches of `a` and `b` swapped.
+std::string fig2WithSwappedLatchPulses(const fsm::DistributedControlUnit& dcu,
+                                       const std::string& a,
+                                       const std::string& b) {
+  const std::string pa = ".pulse(" + a + "_pulse)";
+  const std::string pb = ".pulse(" + b + "_pulse)";
+  const std::string parked = ".pulse(parked)";
+  return edited(
+      edited(edited(rtl::emitPackage(dcu, "tauhls_xprop_top"), pa, parked),
+             pb, pa),
+      parked, pb);
+}
+
+TEST(XpropMutation, RtlSwappedLatchPulsesTripXpr002) {
+  // The latches of CCO_O2 and CCO_O4 (both read by the adder, pulsed by the
+  // two multipliers) capture each other's pulse.
+  const fsm::DistributedControlUnit dcu = fig2Dcu();
+  expectOnlyXpr002WithWave(
+      dcu, fig2WithSwappedLatchPulses(dcu, "CCO_O2", "CCO_O4"));
+}
+
+TEST(XpropMutation, RtlSwapClosingACombinationalLoopTripsXpr002) {
+  // Swapping the CCO_O0 and CCO_O1 latch pulses feeds the adder's own
+  // CCO_O1 pulse back into its CCO_O0 input within the clock: a
+  // combinational loop, reported as such.
+  const fsm::DistributedControlUnit dcu = fig2Dcu();
+  const std::string msg =
+      onlyXpr002(dcu, fig2WithSwappedLatchPulses(dcu, "CCO_O0", "CCO_O1"))
+          .message;
+  EXPECT_NE(msg.find("did not settle"), std::string::npos) << msg;
+}
+
+TEST(XpropMutation, NonSettlingRtlIsADiagnosticNotAHang) {
+  // A combinational ring in the top never settles; the replay must stop
+  // with a diagnostic.
+  const fsm::DistributedControlUnit dcu = fig2Dcu();
+  // The top is the package's last module.
+  std::string source = rtl::emitPackage(dcu, "tauhls_xprop_top");
+  source.insert(source.rfind("endmodule"),
+                "  wire ring_a;\n  wire ring_b;\n"
+                "  assign ring_a = ring_b;\n  assign ring_b = ~ring_a;\n\n");
+  const std::string msg = onlyXpr002(dcu, source).message;
+  EXPECT_NE(msg.find("ternary RTL replay failed"), std::string::npos) << msg;
 }
 
 TEST(XpropMutation, SequencerDoneLatchWithoutInitTripsXpr003) {
