@@ -314,71 +314,46 @@ const std::array<int, kNumArtifacts>& producerIndex() {
 
 /// Semantic size of a materialized artifact, for the trace (states for
 /// machines, nodes for schedules, bytes for text, entries otherwise).
+std::uint64_t semanticSize(const sched::ScheduledDfg& s) {
+  return s.graph.numNodes();
+}
+std::uint64_t semanticSize(const fsm::DistributedControlUnit& dcu) {
+  return dcu.totalStates();
+}
+std::uint64_t semanticSize(const fsm::SignalOptStats& s) {
+  return static_cast<std::uint64_t>(s.removedOutputs + s.keptOutputs);
+}
+std::uint64_t semanticSize(const fsm::Fsm& f) { return f.numStates(); }
+std::uint64_t semanticSize(const sim::LatencyComparison& l) {
+  return l.ps.size();
+}
+std::uint64_t semanticSize(const verify::Report& r) {
+  return r.diagnostics().size();
+}
+std::uint64_t semanticSize(const synth::DistributedAreaReport& rep) {
+  return static_cast<std::uint64_t>(rep.total.totalArea());
+}
+std::uint64_t semanticSize(const synth::AreaRow& row) {
+  return static_cast<std::uint64_t>(row.totalArea());
+}
+std::uint64_t semanticSize(const std::string& text) { return text.size(); }
+// Functions proven / properties checked, not diagnostics: the semantic work
+// of the pass.
+std::uint64_t semanticSize(const verify::EquivalenceArtifact& art) {
+  return static_cast<std::uint64_t>(art.stats.functionsCompared);
+}
+std::uint64_t semanticSize(const verify::SymbolicArtifact& art) {
+  return art.stats.properties.size();
+}
+std::uint64_t semanticSize(const verify::XCheckArtifact& art) {
+  return art.xprop.properties.size() + art.dcs.properties.size();
+}
+
 std::uint64_t artifactSizeOf(Artifact a, const std::any& slot) {
-  switch (a) {
-    case Artifact::Schedule:
-      return std::any_cast<const std::shared_ptr<const sched::ScheduledDfg>&>(
-                 slot)
-          ->graph.numNodes();
-    case Artifact::RawDistributed:
-    case Artifact::Distributed:
-      return std::any_cast<
-                 const std::shared_ptr<const fsm::DistributedControlUnit>&>(
-                 slot)
-          ->totalStates();
-    case Artifact::SignalStats: {
-      const auto& s =
-          *std::any_cast<const std::shared_ptr<const fsm::SignalOptStats>&>(
-              slot);
-      return static_cast<std::uint64_t>(s.removedOutputs + s.keptOutputs);
-    }
-    case Artifact::CentSync:
-    case Artifact::CentFsm:
-      return std::any_cast<const std::shared_ptr<const fsm::Fsm>&>(slot)
-          ->numStates();
-    case Artifact::Latency:
-      return std::any_cast<
-                 const std::shared_ptr<const sim::LatencyComparison>&>(slot)
-          ->ps.size();
-    case Artifact::Diagnostics:
-      return std::any_cast<const std::shared_ptr<const verify::Report>&>(slot)
-          ->diagnostics()
-          .size();
-    case Artifact::DistArea:
-      return static_cast<std::uint64_t>(
-          std::any_cast<
-              const std::shared_ptr<const synth::DistributedAreaReport>&>(slot)
-              ->total.totalArea());
-    case Artifact::CentSyncArea:
-    case Artifact::CentFsmArea:
-      return static_cast<std::uint64_t>(
-          std::any_cast<const std::shared_ptr<const synth::AreaRow>&>(slot)
-              ->totalArea());
-    case Artifact::Rtl:
-      return std::any_cast<const std::shared_ptr<const std::string>&>(slot)
-          ->size();
-    case Artifact::Equivalence:
-      // Functions proven, not diagnostics: the semantic work of the pass.
-      return static_cast<std::uint64_t>(
-          std::any_cast<
-              const std::shared_ptr<const verify::EquivalenceArtifact>&>(slot)
-              ->stats.functionsCompared);
-    case Artifact::Timing:
-      return std::any_cast<const std::shared_ptr<const verify::Report>&>(slot)
-          ->diagnostics()
-          .size();
-    case Artifact::SymbolicCheck:
-      // Properties checked, not diagnostics: the semantic work of the pass.
-      return std::any_cast<
-                 const std::shared_ptr<const verify::SymbolicArtifact>&>(slot)
-          ->stats.properties.size();
-    case Artifact::XCheck: {
-      const auto& art = *std::any_cast<
-          const std::shared_ptr<const verify::XCheckArtifact>&>(slot);
-      return art.xprop.properties.size() + art.dcs.properties.size();
-    }
-  }
-  return 0;
+  return visitArtifactType(a, [&](auto type) {
+    using T = typename decltype(type)::type;
+    return semanticSize(*std::any_cast<const std::shared_ptr<const T>&>(slot));
+  });
 }
 
 double microsSince(std::chrono::steady_clock::time_point origin,

@@ -48,38 +48,26 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/hash.hpp"
 #include "core/flow.hpp"
+
+namespace tauhls::verify {
+struct EquivalenceArtifact;  // verify/equiv_check.hpp
+struct SymbolicArtifact;     // verify/symbolic_check.hpp
+struct XCheckArtifact;       // verify/xprop_check.hpp
+}  // namespace tauhls::verify
 
 namespace tauhls::core {
 
 class ArtifactStore;  // core/store.hpp -- the optional persistent tier
 
 /// Every artifact the flow can produce.  Each id maps to exactly one C++
-/// type (enforced by the typed accessors):
-///
-///   Schedule        sched::ScheduledDfg          schedule + binding
-///   RawDistributed  fsm::DistributedControlUnit  Algorithm 1, pre signal-opt
-///   Distributed     fsm::DistributedControlUnit  post signal-opt
-///   SignalStats     fsm::SignalOptStats
-///   CentSync        fsm::Fsm                     CENT-SYNC-FSM baseline
-///   Latency         sim::LatencyComparison       Table 2 statistics
-///   CentFsm         fsm::Fsm                     explicit product machine
-///   Diagnostics     verify::Report               static verification
-///   DistArea        synth::DistributedAreaReport
-///   CentSyncArea    synth::AreaRow
-///   CentFsmArea     synth::AreaRow
-///   Rtl             std::string                  full Verilog package
-///   Equivalence     verify::EquivalenceArtifact  SAT translation validation
-///   Timing          verify::Report               STA against CC_TAU
-///   SymbolicCheck   verify::SymbolicArtifact     BMC + k-induction verdicts
-///   XCheck          verify::XCheckArtifact       X-propagation + don't-care
-///                                                soundness (XPR/DCS rules)
-///
-/// Equivalence, Timing, SymbolicCheck and XCheck are demand-only: the
-/// standard run() never requests them directly; `tauhlsc lint
-/// --equiv/--timing/--xprop`, the `--model-check symbolic|auto` modes (and
-/// tests) pull them explicitly.
+/// type, given by visitArtifactType below (and enforced by the typed
+/// accessors).  Equivalence, Timing, SymbolicCheck and XCheck are
+/// demand-only: the standard run() never requests them directly; `tauhlsc
+/// lint --equiv/--timing/--xprop`, the `--model-check symbolic|auto` modes
+/// (and tests) pull them explicitly.
 enum class Artifact : int {
   Schedule = 0,
   RawDistributed,
@@ -100,6 +88,51 @@ enum class Artifact : int {
 };
 
 inline constexpr int kNumArtifacts = 16;
+
+/// Type tag handed to visitArtifactType's callback.
+template <class T>
+struct ArtifactType {
+  using type = T;
+};
+
+/// The artifact kind -> C++ type table, the one place that decision is
+/// made: calls `f(ArtifactType<T>{})` with the type `a` holds and returns
+/// what `f` returns.  The codecs (core/serialize.cpp), the trace's artifact
+/// sizes and the tests dispatch through it.
+template <class F>
+decltype(auto) visitArtifactType(Artifact a, F&& f) {
+  switch (a) {
+    case Artifact::Schedule:  // schedule + binding
+      return f(ArtifactType<sched::ScheduledDfg>{});
+    case Artifact::RawDistributed:  // Algorithm 1, pre signal-opt
+    case Artifact::Distributed:     // post signal-opt
+      return f(ArtifactType<fsm::DistributedControlUnit>{});
+    case Artifact::SignalStats:
+      return f(ArtifactType<fsm::SignalOptStats>{});
+    case Artifact::CentSync:  // CENT-SYNC-FSM baseline
+    case Artifact::CentFsm:   // explicit product machine
+      return f(ArtifactType<fsm::Fsm>{});
+    case Artifact::Latency:  // Table 2 statistics
+      return f(ArtifactType<sim::LatencyComparison>{});
+    case Artifact::Diagnostics:  // static verification
+    case Artifact::Timing:       // STA against CC_TAU
+      return f(ArtifactType<verify::Report>{});
+    case Artifact::DistArea:
+      return f(ArtifactType<synth::DistributedAreaReport>{});
+    case Artifact::CentSyncArea:
+    case Artifact::CentFsmArea:
+      return f(ArtifactType<synth::AreaRow>{});
+    case Artifact::Rtl:  // full Verilog package
+      return f(ArtifactType<std::string>{});
+    case Artifact::Equivalence:  // SAT translation validation
+      return f(ArtifactType<verify::EquivalenceArtifact>{});
+    case Artifact::SymbolicCheck:  // BMC + k-induction verdicts
+      return f(ArtifactType<verify::SymbolicArtifact>{});
+    case Artifact::XCheck:  // X-propagation + don't-care soundness
+      return f(ArtifactType<verify::XCheckArtifact>{});
+  }
+  TAUHLS_FAIL("unknown artifact kind");
+}
 
 /// Stable display name ("schedule", "latency", ...).
 const char* artifactName(Artifact a);
@@ -249,8 +282,8 @@ class FlowPipeline {
   /// True when the artifact is already materialized in this pipeline.
   bool has(Artifact a) const;
 
-  /// Typed access; computes the artifact on demand.  T must be the artifact
-  /// type documented on `Artifact` (mismatches throw).
+  /// Typed access; computes the artifact on demand.  T must be the type
+  /// visitArtifactType gives for `a` (mismatches throw).
   template <typename T>
   const T& get(Artifact a) {
     if (!has(a)) require({a});

@@ -1,11 +1,11 @@
 #include "core/serialize.hpp"
 
 #include <cstring>
-#include <limits>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -18,13 +18,17 @@ namespace tauhls::core {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Primitive little-endian writer/reader.  The reader bounds-checks every
-// access and throws tauhls::Error on violation; nothing here can read past
-// the blob or allocate an attacker-controlled amount beyond the blob size.
+// Primitive little-endian writer/reader.  Both offer the same calls, so one
+// layout function drives either: on the Writer each call writes the field, on
+// the Reader it reads and assigns it.  The reader bounds-checks every access
+// and throws tauhls::Error on violation; nothing here can read past the blob
+// or allocate an attacker-controlled amount beyond the blob size.
 // ---------------------------------------------------------------------------
 
 class Writer {
  public:
+  static constexpr bool kEncoding = true;
+
   void u8(std::uint8_t v) { bytes_.push_back(v); }
   void u32(std::uint32_t v) {
     for (int i = 0; i < 4; ++i) bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
@@ -33,7 +37,6 @@ class Writer {
     for (int i = 0; i < 8; ++i) bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
   }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void boolean(bool v) { u8(v ? 1 : 0); }
   void f64(double v) {
     std::uint64_t bits = 0;
@@ -44,6 +47,22 @@ class Writer {
     u64(s.size());
     bytes_.insert(bytes_.end(), s.begin(), s.end());
   }
+  template <class E>
+  void enumU8(E v, E /*maxInclusive*/, const char* /*what*/) {
+    u8(static_cast<std::uint8_t>(v));
+  }
+  /// u64 element count, then `element(e)` for each element of `c`.
+  template <class C, class F>
+  void seq(const C& c, std::size_t /*minBytesPerElement*/, F&& element) {
+    u64(c.size());
+    for (const auto& e : c) element(e);
+  }
+  /// seq() with a u32 element count.
+  template <class C, class F>
+  void seq32(const C& c, std::size_t /*minBytesPerElement*/, F&& element) {
+    u32(static_cast<std::uint32_t>(c.size()));
+    for (const auto& e : c) element(e);
+  }
 
   std::vector<std::uint8_t> take() { return std::move(bytes_); }
 
@@ -53,6 +72,8 @@ class Writer {
 
 class Reader {
  public:
+  static constexpr bool kEncoding = false;
+
   Reader(const std::uint8_t* data, std::size_t size)
       : data_(data), size_(size) {}
 
@@ -73,7 +94,6 @@ class Reader {
     return v;
   }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   bool boolean() {
     const std::uint8_t v = u8();
     TAUHLS_CHECK(v <= 1, "artifact blob: invalid boolean byte");
@@ -97,13 +117,37 @@ class Reader {
   /// bounded by the remaining bytes so a corrupted length cannot trigger a
   /// huge up-front allocation (`minBytesPerElement` >= 1).
   std::size_t count(std::size_t minBytesPerElement = 1) {
-    const std::uint64_t n = u64();
-    TAUHLS_CHECK(n <= remaining() / minBytesPerElement,
-                 "artifact blob: container length exceeds blob size");
-    return static_cast<std::size_t>(n);
+    return bounded(u64(), minBytesPerElement);
   }
 
-  std::size_t remaining() const { return size_ - pos_; }
+  // The Writer's calls, assigning what they read.
+  void u32(std::uint32_t& v) { v = u32(); }
+  /// Any 64-bit unsigned field (std::uint64_t or std::size_t).
+  template <class T>
+    requires(std::is_unsigned_v<T> && sizeof(T) == 8)
+  void u64(T& v) { v = static_cast<T>(u64()); }
+  void i32(std::int32_t& v) { v = i32(); }
+  void boolean(bool& v) { v = boolean(); }
+  void f64(double& v) { v = f64(); }
+  void str(std::string& s) { s = str(); }
+  template <class E>
+  void enumU8(E& v, E maxInclusive, const char* what) {
+    const std::uint8_t raw = u8();
+    TAUHLS_CHECK(raw <= static_cast<std::uint8_t>(maxInclusive),
+                 std::string("artifact blob: out-of-range ") + what);
+    v = static_cast<E>(raw);
+  }
+  /// Replaces `c` by count() elements, each decoded by `element(e)`:
+  /// vectors in place, sets and maps through a temporary that is inserted.
+  template <class C, class F>
+  void seq(C& c, std::size_t minBytesPerElement, F&& element) {
+    fill(c, count(minBytesPerElement), element);
+  }
+  template <class C, class F>
+  void seq32(C& c, std::size_t minBytesPerElement, F&& element) {
+    fill(c, bounded(u32(), minBytesPerElement), element);
+  }
+
   void expectEnd() const {
     TAUHLS_CHECK(pos_ == size_, "artifact blob: trailing bytes after payload");
   }
@@ -112,26 +156,55 @@ class Reader {
   void need(std::uint64_t n) {
     TAUHLS_CHECK(n <= size_ - pos_, "artifact blob: truncated");
   }
+  std::size_t bounded(std::uint64_t n, std::size_t minBytesPerElement) const {
+    TAUHLS_CHECK(n <= (size_ - pos_) / minBytesPerElement,
+                 "artifact blob: container length exceeds blob size");
+    return static_cast<std::size_t>(n);
+  }
+  template <class C, class F>
+  void fill(C& c, std::size_t n, F& element) {
+    c.clear();
+    if constexpr (requires { c.resize(n); }) {
+      c.resize(n);
+      for (auto& e : c) element(e);
+    } else if constexpr (requires { typename C::mapped_type; }) {
+      for (std::size_t i = 0; i < n; ++i) {
+        std::pair<typename C::key_type, typename C::mapped_type> e;
+        element(e);
+        c[std::move(e.first)] = std::move(e.second);
+      }
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        typename C::value_type e{};
+        element(e);
+        c.insert(std::move(e));
+      }
+    }
+  }
 
   const std::uint8_t* data_;
   std::size_t size_;
   std::size_t pos_ = 0;
 };
 
+/// `T` as a layout function over `Io` sees it: const when encoding.
+template <class Io, class T>
+using Field = std::conditional_t<Io::kEncoding, const T, T>;
+
 // ---------------------------------------------------------------------------
-// Per-type codecs.  Encoders walk the public read API; decoders rebuild
-// through the public mutation API (so every class invariant is re-validated
-// on the way in) or by direct aggregate construction for plain structs.
+// Per-type layouts.  Plain structs have one `layout(Io&, Field<Io, T>&)` that
+// both encodes and decodes them.  Types with class invariants (Dfg, Binding,
+// ResourceLibrary, Guard, Fsm, Report) keep an explicit pair: the encoder
+// walks the public read API, the decoder rebuilds through the public
+// mutation API, so every invariant is re-validated on the way in.
 // ---------------------------------------------------------------------------
 
-template <typename T>
-std::uint32_t checkedEnum(std::uint32_t raw, T maxInclusive, const char* what) {
-  TAUHLS_CHECK(raw <= static_cast<std::uint32_t>(maxInclusive),
-               std::string("artifact blob: out-of-range ") + what);
-  return raw;
+template <class Io>
+void layout(Io& io, Field<Io, std::string>& s) {
+  io.str(s);
 }
 
-void encodeDfg(Writer& w, const dfg::Dfg& g) {
+void layout(Writer& w, const dfg::Dfg& g) {
   w.str(g.name());
   w.u64(g.numNodes());
   for (dfg::NodeId id = 0; id < g.numNodes(); ++id) {
@@ -155,12 +228,12 @@ void encodeDfg(Writer& w, const dfg::Dfg& g) {
   for (dfg::NodeId out : g.outputs()) w.u32(out);
 }
 
-dfg::Dfg decodeDfg(Reader& r) {
+void layout(Reader& r, dfg::Dfg& out) {
   dfg::Dfg g(r.str());
   const std::size_t numNodes = r.count();
   for (std::size_t i = 0; i < numNodes; ++i) {
-    const auto kind = static_cast<dfg::OpKind>(
-        checkedEnum(r.u8(), dfg::OpKind::Neg, "OpKind"));
+    dfg::OpKind kind{};
+    r.enumU8(kind, dfg::OpKind::Neg, "OpKind");
     const std::string name = r.str();
     const std::size_t numOperands = r.count(4);
     std::vector<dfg::NodeId> operands(numOperands);
@@ -187,10 +260,10 @@ dfg::Dfg decodeDfg(Reader& r) {
   const std::size_t numOutputs = r.count(4);
   for (std::size_t i = 0; i < numOutputs; ++i) g.markOutput(r.u32());
   g.validate();
-  return g;
+  out = std::move(g);
 }
 
-void encodeBinding(Writer& w, const sched::Binding& b) {
+void layout(Writer& w, const sched::Binding& b) {
   w.u64(b.numUnits());
   for (int u = 0; u < static_cast<int>(b.numUnits()); ++u) {
     const sched::UnitInstance& unit = b.unit(u);
@@ -201,12 +274,12 @@ void encodeBinding(Writer& w, const sched::Binding& b) {
   }
 }
 
-sched::Binding decodeBinding(Reader& r) {
+void layout(Reader& r, sched::Binding& out) {
   sched::Binding b;
   const std::size_t numUnits = r.count();
   for (std::size_t u = 0; u < numUnits; ++u) {
-    const auto cls = static_cast<dfg::ResourceClass>(
-        checkedEnum(r.u8(), dfg::ResourceClass::Logic, "ResourceClass"));
+    dfg::ResourceClass cls{};
+    r.enumU8(cls, dfg::ResourceClass::Logic, "ResourceClass");
     const int index = r.i32();
     const int id = b.addUnit(cls, index);
     TAUHLS_CHECK(id == static_cast<int>(u),
@@ -214,52 +287,26 @@ sched::Binding decodeBinding(Reader& r) {
     const std::size_t seqLen = r.count(4);
     for (std::size_t i = 0; i < seqLen; ++i) b.assign(r.u32(), id);
   }
-  return b;
+  out = std::move(b);
 }
 
-void encodeSteps(Writer& w, const sched::StepSchedule& s) {
-  w.i32(s.numSteps);
-  w.u64(s.stepOf.size());
-  for (int step : s.stepOf) w.i32(step);
+template <class Io>
+void layout(Io& io, Field<Io, sched::StepSchedule>& s) {
+  io.i32(s.numSteps);
+  io.seq(s.stepOf, 4, [&](auto& step) { io.i32(step); });
 }
 
-sched::StepSchedule decodeSteps(Reader& r) {
-  sched::StepSchedule s;
-  s.numSteps = r.i32();
-  const std::size_t n = r.count(4);
-  s.stepOf.resize(n);
-  for (int& step : s.stepOf) step = r.i32();
-  return s;
+template <class Io>
+void layout(Io& io, Field<Io, sched::TaubmSchedule>& t) {
+  io.seq(t.steps, 5, [&](auto& step) {
+    io.i32(step.originalStep);
+    io.boolean(step.split);
+    io.seq(step.ops, 4, [&](auto& op) { io.u32(op); });
+    io.seq(step.tauOps, 4, [&](auto& op) { io.u32(op); });
+  });
 }
 
-void encodeTaubm(Writer& w, const sched::TaubmSchedule& t) {
-  w.u64(t.steps.size());
-  for (const sched::TaubmStep& step : t.steps) {
-    w.i32(step.originalStep);
-    w.boolean(step.split);
-    w.u64(step.ops.size());
-    for (dfg::NodeId op : step.ops) w.u32(op);
-    w.u64(step.tauOps.size());
-    for (dfg::NodeId op : step.tauOps) w.u32(op);
-  }
-}
-
-sched::TaubmSchedule decodeTaubm(Reader& r) {
-  sched::TaubmSchedule t;
-  const std::size_t numSteps = r.count(5);
-  t.steps.resize(numSteps);
-  for (sched::TaubmStep& step : t.steps) {
-    step.originalStep = r.i32();
-    step.split = r.boolean();
-    step.ops.resize(r.count(4));
-    for (dfg::NodeId& op : step.ops) op = r.u32();
-    step.tauOps.resize(r.count(4));
-    for (dfg::NodeId& op : step.tauOps) op = r.u32();
-  }
-  return t;
-}
-
-void encodeLibrary(Writer& w, const tau::ResourceLibrary& lib) {
+void layout(Writer& w, const tau::ResourceLibrary& lib) {
   const std::vector<dfg::ResourceClass> classes = lib.classes();
   w.u64(classes.size());
   for (dfg::ResourceClass cls : classes) {
@@ -273,14 +320,13 @@ void encodeLibrary(Writer& w, const tau::ResourceLibrary& lib) {
   }
 }
 
-tau::ResourceLibrary decodeLibrary(Reader& r) {
+void layout(Reader& r, tau::ResourceLibrary& out) {
   tau::ResourceLibrary lib;
   const std::size_t numTypes = r.count();
   for (std::size_t i = 0; i < numTypes; ++i) {
     tau::UnitType t;
     t.name = r.str();
-    t.cls = static_cast<dfg::ResourceClass>(
-        checkedEnum(r.u8(), dfg::ResourceClass::Logic, "ResourceClass"));
+    r.enumU8(t.cls, dfg::ResourceClass::Logic, "ResourceClass");
     t.telescopic = r.boolean();
     t.shortDelayNs = r.f64();
     t.longDelayNs = r.f64();
@@ -288,10 +334,10 @@ tau::ResourceLibrary decodeLibrary(Reader& r) {
     tau::validateUnitType(t);
     lib.registerType(t);
   }
-  return lib;
+  out = std::move(lib);
 }
 
-void encodeGuard(Writer& w, const fsm::Guard& g) {
+void layout(Writer& w, const fsm::Guard& g) {
   w.u64(g.terms().size());
   for (const fsm::GuardTerm& term : g.terms()) {
     w.u64(term.literals.size());
@@ -302,7 +348,7 @@ void encodeGuard(Writer& w, const fsm::Guard& g) {
   }
 }
 
-fsm::Guard decodeGuard(Reader& r) {
+void layout(Reader& r, fsm::Guard& out) {
   const std::size_t numTerms = r.count();
   fsm::Guard g = fsm::Guard::never();
   for (std::size_t t = 0; t < numTerms; ++t) {
@@ -315,10 +361,10 @@ fsm::Guard decodeGuard(Reader& r) {
     }
     g = g.disjoin(term);
   }
-  return g;
+  out = std::move(g);
 }
 
-void encodeFsm(Writer& w, const fsm::Fsm& f) {
+void layout(Writer& w, const fsm::Fsm& f) {
   w.str(f.name());
   w.u64(f.numStates());
   for (int s = 0; s < static_cast<int>(f.numStates()); ++s) {
@@ -333,13 +379,13 @@ void encodeFsm(Writer& w, const fsm::Fsm& f) {
   for (const fsm::Transition& t : f.transitions()) {
     w.i32(t.from);
     w.i32(t.to);
-    encodeGuard(w, t.guard);
+    layout(w, t.guard);
     w.u64(t.outputs.size());
     for (const std::string& out : t.outputs) w.str(out);
   }
 }
 
-fsm::Fsm decodeFsm(Reader& r) {
+void layout(Reader& r, fsm::Fsm& out) {
   fsm::Fsm f(r.str());
   const std::size_t numStates = r.count();
   for (std::size_t s = 0; s < numStates; ++s) {
@@ -357,130 +403,62 @@ fsm::Fsm decodeFsm(Reader& r) {
   for (std::size_t t = 0; t < numTransitions; ++t) {
     const int from = r.i32();
     const int to = r.i32();
-    fsm::Guard guard = decodeGuard(r);
+    fsm::Guard guard;
+    layout(r, guard);
     const std::size_t outCount = r.count(8);
     std::vector<std::string> outputs(outCount);
-    for (std::string& out : outputs) out = r.str();
+    for (std::string& o : outputs) o = r.str();
     f.addTransition(from, to, std::move(guard), std::move(outputs));
   }
-  return f;
+  out = std::move(f);
 }
 
-void encodeDcu(Writer& w, const fsm::DistributedControlUnit& dcu) {
-  w.u64(dcu.controllers.size());
-  for (const fsm::UnitController& c : dcu.controllers) {
-    w.i32(c.unitId);
-    w.boolean(c.telescopic);
-    encodeFsm(w, c.fsm);
-    w.u64(c.ops.size());
-    for (dfg::NodeId op : c.ops) w.u32(op);
-    w.u64(c.latchedInputs.size());
-    for (const std::string& s : c.latchedInputs) w.str(s);
-  }
-  w.u64(dcu.externalInputs.size());
-  for (const std::string& s : dcu.externalInputs) w.str(s);
-  w.u64(dcu.producerOf.size());
-  for (const auto& [signal, producer] : dcu.producerOf) {
-    w.str(signal);
-    w.i32(producer);
-  }
-  w.u64(dcu.consumersOf.size());
-  for (const auto& [signal, consumers] : dcu.consumersOf) {
-    w.str(signal);
-    w.u64(consumers.size());
-    for (int c : consumers) w.i32(c);
-  }
+template <class Io>
+void layout(Io& io, Field<Io, fsm::DistributedControlUnit>& dcu) {
+  io.seq(dcu.controllers, 1, [&](auto& c) {
+    io.i32(c.unitId);
+    io.boolean(c.telescopic);
+    layout(io, c.fsm);
+    io.seq(c.ops, 4, [&](auto& op) { io.u32(op); });
+    io.seq(c.latchedInputs, 8, [&](auto& s) { io.str(s); });
+  });
+  io.seq(dcu.externalInputs, 8, [&](auto& s) { io.str(s); });
+  io.seq(dcu.producerOf, 1, [&](auto& entry) {
+    io.str(entry.first);
+    io.i32(entry.second);
+  });
+  io.seq(dcu.consumersOf, 1, [&](auto& entry) {
+    io.str(entry.first);
+    io.seq(entry.second, 4, [&](auto& c) { io.i32(c); });
+  });
 }
 
-fsm::DistributedControlUnit decodeDcu(Reader& r) {
-  fsm::DistributedControlUnit dcu;
-  const std::size_t numControllers = r.count();
-  dcu.controllers.reserve(numControllers);
-  for (std::size_t i = 0; i < numControllers; ++i) {
-    fsm::UnitController c;
-    c.unitId = r.i32();
-    c.telescopic = r.boolean();
-    c.fsm = decodeFsm(r);
-    c.ops.resize(r.count(4));
-    for (dfg::NodeId& op : c.ops) op = r.u32();
-    c.latchedInputs.resize(r.count(8));
-    for (std::string& s : c.latchedInputs) s = r.str();
-    dcu.controllers.push_back(std::move(c));
-  }
-  dcu.externalInputs.resize(r.count(8));
-  for (std::string& s : dcu.externalInputs) s = r.str();
-  const std::size_t numProducers = r.count();
-  for (std::size_t i = 0; i < numProducers; ++i) {
-    const std::string signal = r.str();
-    dcu.producerOf[signal] = r.i32();
-  }
-  const std::size_t numConsumed = r.count();
-  for (std::size_t i = 0; i < numConsumed; ++i) {
-    const std::string signal = r.str();
-    std::set<int>& consumers = dcu.consumersOf[signal];
-    const std::size_t numConsumers = r.count(4);
-    for (std::size_t c = 0; c < numConsumers; ++c) consumers.insert(r.i32());
-  }
-  return dcu;
+template <class Io>
+void layout(Io& io, Field<Io, sched::ScheduledDfg>& s) {
+  layout(io, s.graph);
+  layout(io, s.binding);
+  layout(io, s.steps);
+  layout(io, s.taubm);
+  layout(io, s.library);
+  io.f64(s.clockNs);
 }
 
-void encodeScheduled(Writer& w, const sched::ScheduledDfg& s) {
-  encodeDfg(w, s.graph);
-  encodeBinding(w, s.binding);
-  encodeSteps(w, s.steps);
-  encodeTaubm(w, s.taubm);
-  encodeLibrary(w, s.library);
-  w.f64(s.clockNs);
+template <class Io>
+void layout(Io& io, Field<Io, sim::LatencyRow>& row) {
+  io.f64(row.bestNs);
+  io.f64(row.worstNs);
+  io.seq(row.averageNs, 8, [&](auto& v) { io.f64(v); });
 }
 
-sched::ScheduledDfg decodeScheduled(Reader& r) {
-  sched::ScheduledDfg s;
-  s.graph = decodeDfg(r);
-  s.binding = decodeBinding(r);
-  s.steps = decodeSteps(r);
-  s.taubm = decodeTaubm(r);
-  s.library = decodeLibrary(r);
-  s.clockNs = r.f64();
-  return s;
+template <class Io>
+void layout(Io& io, Field<Io, sim::LatencyComparison>& l) {
+  io.seq(l.ps, 8, [&](auto& p) { io.f64(p); });
+  layout(io, l.tau);
+  layout(io, l.dist);
+  io.seq(l.enhancementPercent, 8, [&](auto& e) { io.f64(e); });
 }
 
-void encodeLatencyRow(Writer& w, const sim::LatencyRow& row) {
-  w.f64(row.bestNs);
-  w.f64(row.worstNs);
-  w.u64(row.averageNs.size());
-  for (double v : row.averageNs) w.f64(v);
-}
-
-sim::LatencyRow decodeLatencyRow(Reader& r) {
-  sim::LatencyRow row;
-  row.bestNs = r.f64();
-  row.worstNs = r.f64();
-  row.averageNs.resize(r.count(8));
-  for (double& v : row.averageNs) v = r.f64();
-  return row;
-}
-
-void encodeLatency(Writer& w, const sim::LatencyComparison& l) {
-  w.u64(l.ps.size());
-  for (double p : l.ps) w.f64(p);
-  encodeLatencyRow(w, l.tau);
-  encodeLatencyRow(w, l.dist);
-  w.u64(l.enhancementPercent.size());
-  for (double e : l.enhancementPercent) w.f64(e);
-}
-
-sim::LatencyComparison decodeLatency(Reader& r) {
-  sim::LatencyComparison l;
-  l.ps.resize(r.count(8));
-  for (double& p : l.ps) p = r.f64();
-  l.tau = decodeLatencyRow(r);
-  l.dist = decodeLatencyRow(r);
-  l.enhancementPercent.resize(r.count(8));
-  for (double& e : l.enhancementPercent) e = r.f64();
-  return l;
-}
-
-void encodeReport(Writer& w, const verify::Report& report) {
+void layout(Writer& w, const verify::Report& report) {
   w.u64(report.diagnostics().size());
   for (const verify::Diagnostic& d : report.diagnostics()) {
     w.str(d.code);
@@ -490,7 +468,7 @@ void encodeReport(Writer& w, const verify::Report& report) {
   }
 }
 
-verify::Report decodeReport(Reader& r) {
+void layout(Reader& r, verify::Report& out) {
   verify::Report report;
   const std::size_t numDiags = r.count();
   for (std::size_t i = 0; i < numDiags; ++i) {
@@ -503,237 +481,119 @@ verify::Report decodeReport(Reader& r) {
     // throws on unknown codes, turning a corrupted code into a cache miss.
     report.add(code, artifact, where, message);
   }
-  return report;
+  out = std::move(report);
 }
 
-void encodeAreaRow(Writer& w, const synth::AreaRow& row) {
-  w.str(row.name);
-  w.i32(row.inputs);
-  w.i32(row.outputs);
-  w.i32(row.states);
-  w.i32(row.flipFlops);
-  w.i32(row.combArea);
-  w.i32(row.seqArea);
+template <class Io>
+void layout(Io& io, Field<Io, synth::AreaRow>& row) {
+  io.str(row.name);
+  io.i32(row.inputs);
+  io.i32(row.outputs);
+  io.i32(row.states);
+  io.i32(row.flipFlops);
+  io.i32(row.combArea);
+  io.i32(row.seqArea);
 }
 
-synth::AreaRow decodeAreaRow(Reader& r) {
-  synth::AreaRow row;
-  row.name = r.str();
-  row.inputs = r.i32();
-  row.outputs = r.i32();
-  row.states = r.i32();
-  row.flipFlops = r.i32();
-  row.combArea = r.i32();
-  row.seqArea = r.i32();
-  return row;
+template <class Io>
+void layout(Io& io, Field<Io, synth::DistributedAreaReport>& rep) {
+  io.seq(rep.perController, 1, [&](auto& row) { layout(io, row); });
+  layout(io, rep.total);
+  io.i32(rep.completionLatches);
 }
 
-void encodeDistArea(Writer& w, const synth::DistributedAreaReport& rep) {
-  w.u64(rep.perController.size());
-  for (const synth::AreaRow& row : rep.perController) encodeAreaRow(w, row);
-  encodeAreaRow(w, rep.total);
-  w.i32(rep.completionLatches);
+template <class Io>
+void layout(Io& io, Field<Io, verify::RuleCost>& cost) {
+  io.u64(cost.decisions);
+  io.u64(cost.propagations);
+  io.u64(cost.conflicts);
+  io.u64(cost.learned);
+  io.u64(cost.restarts);
+  io.u64(cost.queries);
+  io.u64(cost.simDischarged);
 }
 
-synth::DistributedAreaReport decodeDistArea(Reader& r) {
-  synth::DistributedAreaReport rep;
-  const std::size_t numRows = r.count();
-  rep.perController.reserve(numRows);
-  for (std::size_t i = 0; i < numRows; ++i) {
-    rep.perController.push_back(decodeAreaRow(r));
+template <class Io>
+void layout(Io& io, Field<Io, verify::EquivalenceArtifact>& art) {
+  layout(io, art.report);
+  io.i32(art.stats.controllers);
+  io.i32(art.stats.functionsCompared);
+  io.u64(art.stats.satConflicts);
+  // Each entry: a rule code (8-byte length at least) and 7 u64 counters.
+  io.seq32(art.stats.ruleCost, 64, [&](auto& entry) {
+    io.str(entry.first);
+    layout(io, entry.second);
+  });
+}
+
+template <class Io>
+void layout(Io& io, Field<Io, verify::SymbolicArtifact>& art) {
+  layout(io, art.report);
+  io.str(art.stats.artifact);
+  io.u64(art.stats.controllers);
+  io.u64(art.stats.stateBits);
+  io.u64(art.stats.templateNodes);
+  io.boolean(art.stats.invariantHolds);
+  layout(io, art.stats.invariantCost);
+  io.seq(art.stats.properties, 1, [&](auto& p) {
+    io.str(p.rule);
+    io.enumU8(p.verdict, verify::PropertyVerdict::Unknown, "PropertyVerdict");
+    io.i32(p.depthReached);
+    io.i32(p.inductionK);
+    io.i32(p.cexLength);
+    layout(io, p.cost);
+  });
+}
+
+template <class Io>
+void layout(Io& io, Field<Io, verify::XpropPropertyStat>& p) {
+  io.str(p.artifact);
+  io.str(p.rule);
+  io.str(p.verdict);
+  io.i32(p.depth);
+  io.i32(p.cexCycle);
+  io.u64(p.instances);
+  io.u64(p.gateEvals);
+  layout(io, p.cost);
+}
+
+template <class Io>
+void layout(Io& io, Field<Io, verify::XCheckArtifact>& art) {
+  const auto rows = [&](auto& properties) {
+    io.seq(properties, 1, [&](auto& p) { layout(io, p); });
+  };
+  layout(io, art.report);
+  io.str(art.xprop.artifact);
+  io.u64(art.xprop.controllers);
+  io.u64(art.xprop.stateBits);
+  io.u64(art.xprop.latchBits);
+  io.i32(art.xprop.resetDepth);
+  io.u64(art.xprop.instances);
+  io.u64(art.xprop.gateEvals);
+  io.u64(art.xprop.rtlCycles);
+  rows(art.xprop.properties);
+  io.str(art.dcs.artifact);
+  io.u64(art.dcs.controllers);
+  io.u64(art.dcs.functionsChecked);
+  io.u64(art.dcs.dcFunctions);
+  rows(art.dcs.properties);
+}
+
+template <class Io>
+void layout(Io& io, Field<Io, fsm::SignalOptStats>& s) {
+  io.i32(s.removedOutputs);
+  io.i32(s.keptOutputs);
+}
+
+/// A value to decode into; layout(Reader&, fsm::Fsm&) replaces the
+/// placeholder, since fsm::Fsm alone has no default constructor.
+template <class T>
+T placeholder() {
+  if constexpr (std::is_default_constructible_v<T>) {
+    return T{};
+  } else {
+    return T(std::string());
   }
-  rep.total = decodeAreaRow(r);
-  rep.completionLatches = r.i32();
-  return rep;
-}
-
-void encodeRuleCost(Writer& w, const verify::RuleCost& cost) {
-  w.u64(cost.decisions);
-  w.u64(cost.propagations);
-  w.u64(cost.conflicts);
-  w.u64(cost.learned);
-  w.u64(cost.restarts);
-  w.u64(cost.queries);
-  w.u64(cost.simDischarged);
-}
-
-verify::RuleCost decodeRuleCost(Reader& r) {
-  verify::RuleCost cost;
-  cost.decisions = r.u64();
-  cost.propagations = r.u64();
-  cost.conflicts = r.u64();
-  cost.learned = r.u64();
-  cost.restarts = r.u64();
-  cost.queries = r.u64();
-  cost.simDischarged = r.u64();
-  return cost;
-}
-
-void encodeEquivalence(Writer& w, const verify::EquivalenceArtifact& art) {
-  encodeReport(w, art.report);
-  w.i32(art.stats.controllers);
-  w.i32(art.stats.functionsCompared);
-  w.u64(art.stats.satConflicts);
-  w.u32(static_cast<std::uint32_t>(art.stats.ruleCost.size()));
-  for (const auto& [code, cost] : art.stats.ruleCost) {
-    w.str(code);
-    encodeRuleCost(w, cost);
-  }
-}
-
-verify::EquivalenceArtifact decodeEquivalence(Reader& r) {
-  verify::EquivalenceArtifact art;
-  art.report = decodeReport(r);
-  art.stats.controllers = r.i32();
-  art.stats.functionsCompared = r.i32();
-  art.stats.satConflicts = r.u64();
-  const std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::string code = r.str();
-    art.stats.ruleCost[code] = decodeRuleCost(r);
-  }
-  return art;
-}
-
-void encodeSymbolic(Writer& w, const verify::SymbolicArtifact& art) {
-  encodeReport(w, art.report);
-  w.str(art.stats.artifact);
-  w.u64(art.stats.controllers);
-  w.u64(art.stats.stateBits);
-  w.u64(art.stats.templateNodes);
-  w.boolean(art.stats.invariantHolds);
-  encodeRuleCost(w, art.stats.invariantCost);
-  w.u64(art.stats.properties.size());
-  for (const verify::SymbolicProperty& p : art.stats.properties) {
-    w.str(p.rule);
-    w.u8(static_cast<std::uint8_t>(p.verdict));
-    w.i32(p.depthReached);
-    w.i32(p.inductionK);
-    w.i32(p.cexLength);
-    encodeRuleCost(w, p.cost);
-  }
-}
-
-verify::SymbolicArtifact decodeSymbolic(Reader& r) {
-  verify::SymbolicArtifact art;
-  art.report = decodeReport(r);
-  art.stats.artifact = r.str();
-  art.stats.controllers = r.u64();
-  art.stats.stateBits = r.u64();
-  art.stats.templateNodes = r.u64();
-  art.stats.invariantHolds = r.boolean();
-  art.stats.invariantCost = decodeRuleCost(r);
-  const std::size_t numProps = r.count();
-  art.stats.properties.reserve(numProps);
-  for (std::size_t i = 0; i < numProps; ++i) {
-    verify::SymbolicProperty p;
-    p.rule = r.str();
-    p.verdict = static_cast<verify::PropertyVerdict>(checkedEnum(
-        r.u8(), verify::PropertyVerdict::Unknown, "PropertyVerdict"));
-    p.depthReached = r.i32();
-    p.inductionK = r.i32();
-    p.cexLength = r.i32();
-    p.cost = decodeRuleCost(r);
-    art.stats.properties.push_back(std::move(p));
-  }
-  return art;
-}
-
-void encodeXpropRows(Writer& w,
-                     const std::vector<verify::XpropPropertyStat>& rows) {
-  w.u64(rows.size());
-  for (const verify::XpropPropertyStat& p : rows) {
-    w.str(p.artifact);
-    w.str(p.rule);
-    w.str(p.verdict);
-    w.i32(p.depth);
-    w.i32(p.cexCycle);
-    w.u64(p.instances);
-    w.u64(p.gateEvals);
-    encodeRuleCost(w, p.cost);
-  }
-}
-
-std::vector<verify::XpropPropertyStat> decodeXpropRows(Reader& r) {
-  const std::size_t n = r.count();
-  std::vector<verify::XpropPropertyStat> rows;
-  rows.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    verify::XpropPropertyStat p;
-    p.artifact = r.str();
-    p.rule = r.str();
-    p.verdict = r.str();
-    p.depth = r.i32();
-    p.cexCycle = r.i32();
-    p.instances = r.u64();
-    p.gateEvals = r.u64();
-    p.cost = decodeRuleCost(r);
-    rows.push_back(std::move(p));
-  }
-  return rows;
-}
-
-void encodeXCheck(Writer& w, const verify::XCheckArtifact& art) {
-  encodeReport(w, art.report);
-  w.str(art.xprop.artifact);
-  w.u64(art.xprop.controllers);
-  w.u64(art.xprop.stateBits);
-  w.u64(art.xprop.latchBits);
-  w.i32(art.xprop.resetDepth);
-  w.u64(art.xprop.instances);
-  w.u64(art.xprop.gateEvals);
-  w.u64(art.xprop.rtlCycles);
-  encodeXpropRows(w, art.xprop.properties);
-  w.str(art.dcs.artifact);
-  w.u64(art.dcs.controllers);
-  w.u64(art.dcs.functionsChecked);
-  w.u64(art.dcs.dcFunctions);
-  encodeXpropRows(w, art.dcs.properties);
-}
-
-verify::XCheckArtifact decodeXCheck(Reader& r) {
-  verify::XCheckArtifact art;
-  art.report = decodeReport(r);
-  art.xprop.artifact = r.str();
-  art.xprop.controllers = static_cast<std::size_t>(r.u64());
-  art.xprop.stateBits = static_cast<std::size_t>(r.u64());
-  art.xprop.latchBits = static_cast<std::size_t>(r.u64());
-  art.xprop.resetDepth = r.i32();
-  art.xprop.instances = r.u64();
-  art.xprop.gateEvals = r.u64();
-  art.xprop.rtlCycles = r.u64();
-  art.xprop.properties = decodeXpropRows(r);
-  art.dcs.artifact = r.str();
-  art.dcs.controllers = static_cast<std::size_t>(r.u64());
-  art.dcs.functionsChecked = r.u64();
-  art.dcs.dcFunctions = r.u64();
-  art.dcs.properties = decodeXpropRows(r);
-  return art;
-}
-
-void encodeSignalStats(Writer& w, const fsm::SignalOptStats& s) {
-  w.i32(s.removedOutputs);
-  w.i32(s.keptOutputs);
-}
-
-fsm::SignalOptStats decodeSignalStats(Reader& r) {
-  fsm::SignalOptStats s;
-  s.removedOutputs = r.i32();
-  s.keptOutputs = r.i32();
-  return s;
-}
-
-template <typename T>
-const T& unbox(const std::any& value) {
-  const auto* ptr = std::any_cast<std::shared_ptr<const T>>(&value);
-  TAUHLS_CHECK(ptr != nullptr && *ptr != nullptr,
-               "encodeArtifact: value does not hold the kind's artifact type");
-  return **ptr;
-}
-
-template <typename T>
-std::any box(T value) {
-  return std::make_shared<const T>(std::move(value));
 }
 
 }  // namespace
@@ -741,99 +601,26 @@ std::any box(T value) {
 std::vector<std::uint8_t> encodeArtifact(Artifact kind,
                                          const std::any& value) {
   Writer w;
-  switch (kind) {
-    case Artifact::Schedule:
-      encodeScheduled(w, unbox<sched::ScheduledDfg>(value));
-      break;
-    case Artifact::RawDistributed:
-    case Artifact::Distributed:
-      encodeDcu(w, unbox<fsm::DistributedControlUnit>(value));
-      break;
-    case Artifact::SignalStats:
-      encodeSignalStats(w, unbox<fsm::SignalOptStats>(value));
-      break;
-    case Artifact::CentSync:
-    case Artifact::CentFsm:
-      encodeFsm(w, unbox<fsm::Fsm>(value));
-      break;
-    case Artifact::Latency:
-      encodeLatency(w, unbox<sim::LatencyComparison>(value));
-      break;
-    case Artifact::Diagnostics:
-    case Artifact::Timing:
-      encodeReport(w, unbox<verify::Report>(value));
-      break;
-    case Artifact::DistArea:
-      encodeDistArea(w, unbox<synth::DistributedAreaReport>(value));
-      break;
-    case Artifact::CentSyncArea:
-    case Artifact::CentFsmArea:
-      encodeAreaRow(w, unbox<synth::AreaRow>(value));
-      break;
-    case Artifact::Rtl:
-      w.str(unbox<std::string>(value));
-      break;
-    case Artifact::Equivalence:
-      encodeEquivalence(w, unbox<verify::EquivalenceArtifact>(value));
-      break;
-    case Artifact::SymbolicCheck:
-      encodeSymbolic(w, unbox<verify::SymbolicArtifact>(value));
-      break;
-    case Artifact::XCheck:
-      encodeXCheck(w, unbox<verify::XCheckArtifact>(value));
-      break;
-  }
+  visitArtifactType(kind, [&](auto type) {
+    using T = typename decltype(type)::type;
+    const auto* ptr = std::any_cast<std::shared_ptr<const T>>(&value);
+    TAUHLS_CHECK(ptr != nullptr && *ptr != nullptr,
+                 "encodeArtifact: value does not hold the kind's artifact type");
+    layout(w, **ptr);
+  });
   return w.take();
 }
 
 std::any decodeArtifact(Artifact kind, const std::uint8_t* data,
                         std::size_t size) {
   Reader r(data, size);
-  std::any result;
-  switch (kind) {
-    case Artifact::Schedule:
-      result = box(decodeScheduled(r));
-      break;
-    case Artifact::RawDistributed:
-    case Artifact::Distributed:
-      result = box(decodeDcu(r));
-      break;
-    case Artifact::SignalStats:
-      result = box(decodeSignalStats(r));
-      break;
-    case Artifact::CentSync:
-    case Artifact::CentFsm:
-      result = box(decodeFsm(r));
-      break;
-    case Artifact::Latency:
-      result = box(decodeLatency(r));
-      break;
-    case Artifact::Diagnostics:
-    case Artifact::Timing:
-      result = box(decodeReport(r));
-      break;
-    case Artifact::DistArea:
-      result = box(decodeDistArea(r));
-      break;
-    case Artifact::CentSyncArea:
-    case Artifact::CentFsmArea:
-      result = box(decodeAreaRow(r));
-      break;
-    case Artifact::Rtl:
-      result = box(r.str());
-      break;
-    case Artifact::Equivalence:
-      result = box(decodeEquivalence(r));
-      break;
-    case Artifact::SymbolicCheck:
-      result = box(decodeSymbolic(r));
-      break;
-    case Artifact::XCheck:
-      result = box(decodeXCheck(r));
-      break;
-  }
+  std::any result = visitArtifactType(kind, [&](auto type) -> std::any {
+    using T = typename decltype(type)::type;
+    T value = placeholder<T>();
+    layout(r, value);
+    return std::make_shared<const T>(std::move(value));
+  });
   r.expectEnd();
-  TAUHLS_CHECK(result.has_value(), "decodeArtifact: unknown artifact kind");
   return result;
 }
 

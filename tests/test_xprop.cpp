@@ -686,7 +686,7 @@ TEST(DcsMutation, CounterexamplePastBit31NamesTheRightState) {
   Report report;
   checkDcsFsm(*victim, "ar-lattice mult1", report, dco);
   ASSERT_TRUE(report.has("DCS001")) << renderText(report);
-  const Diagnostic& d = report.withCode("DCS001").front();
+  const Diagnostic d = report.withCode("DCS001").front();
   EXPECT_EQ(d.where, "ns" + std::to_string(target));
   EXPECT_NE(d.message.find("state=" + victim->stateName(state) + ","),
             std::string::npos)
